@@ -89,8 +89,8 @@ type benchReport struct {
 	GeoFailover       []experiments.Row                    `json:"geofailover,omitempty"`
 	GeoFailoverSeries map[string][]experiments.SeriesPoint `json:"geofailover_series,omitempty"`
 	// Durlog is the durable-log resume experiment: the overload storm
-	// rerun with the per-topic edge log on, showing WAS point queries at
-	// ~0 while the view still converges gap-free.
+	// run with the per-topic edge log off and on, comparing the resume
+	// catch-up deltas read from the WAS while the view converges gap-free.
 	Durlog []experiments.Row `json:"durlog,omitempty"`
 }
 

@@ -1,8 +1,8 @@
 // Messenger: reliable, in-order message delivery built on Bladerunner's
 // best-effort substrate (paper §4). Mailbox sequence numbers let the BRASS
-// detect and repair gaps; resume tokens persisted in the stream header via
-// BURST rewrites let a reconnecting device catch up on everything it missed
-// — even though the device never tracked sequence numbers itself.
+// detect and repair gaps; a resume cursor persisted in the stream header
+// via BURST rewrites lets a reconnecting device catch up on everything it
+// missed — even though the app never tracked sequence numbers itself.
 //
 // Run with:
 //
@@ -18,6 +18,7 @@ import (
 	"bladerunner/internal/apps"
 	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
+	"bladerunner/internal/durlog"
 	"bladerunner/internal/sim"
 )
 
@@ -77,14 +78,20 @@ func main() {
 		fmt.Printf("bob's phone: seq=%d %q\n", m.Seq, m.Text)
 	}
 
-	// The stream header now carries bob's resume token, written by the
-	// BRASS through a BURST rewrite — bob's app never tracked it.
-	for st.Request().Header[burst.HdrResumeSeq] != "2" {
+	// The stream header now carries bob's resume cursor ("epoch.seq"),
+	// written by the BRASS through a BURST rewrite — bob's app never
+	// tracked it. Epoch 0 means no durable log: the BRASS will catch bob
+	// up from the WAS mailbox.
+	cursorSeq := func() uint64 {
+		c, _ := durlog.Parse(st.Request().Header[burst.HdrCursor])
+		return c.Seq
+	}
+	for cursorSeq() != 2 {
 		sim.Sleep(clock, 5*time.Millisecond)
 	}
 	saved := st.Request()
-	fmt.Printf("resume token in stream header: seq=%s (maintained by rewrites)\n",
-		saved.Header[burst.HdrResumeSeq])
+	fmt.Printf("resume cursor in stream header: %s (maintained by rewrites)\n",
+		saved.Header[burst.HdrCursor])
 
 	// Bob's phone goes into a tunnel.
 	bob.Close()
@@ -93,19 +100,19 @@ func main() {
 	send("guess you're in the subway")
 	fmt.Println("alice sent 2 messages while bob was offline")
 
-	// Bob reconnects. The device resubscribes with the stored (rewritten)
-	// request; the BRASS sees the resume token and replays the mailbox.
+	// Bob reconnects and subscribes with the stored cursor; the BRASS
+	// catches him up from the mailbox above it.
 	bob2 := cluster.NewDevice(2)
 	defer bob2.Close()
 	if err := bob2.Connect(); err != nil {
 		log.Fatal(err)
 	}
 	st2, err := bob2.Subscribe(apps.AppMessenger, "messenger",
-		burst.Header{burst.HdrResumeSeq: saved.Header[burst.HdrResumeSeq]})
+		burst.Header{burst.HdrCursor: saved.Header[burst.HdrCursor]})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("bob reconnects with the stored resume token...")
+	fmt.Println("bob reconnects with the stored resume cursor...")
 	for i := 0; i < 2; i++ {
 		select {
 		case delta := <-st2.Updates:

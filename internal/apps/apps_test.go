@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -90,20 +91,33 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // recvPayload waits for the next payload delta on st, skipping flow events.
+// unreadPayloads holds, per stream, the payload deltas recvPayload has
+// taken off the wire but not yet returned: a catch-up arrives as one
+// batch of several payloads.
+var unreadPayloads sync.Map // *burst.ClientStream -> []burst.Delta
+
 func recvPayload(t *testing.T, st *burst.ClientStream) burst.Delta {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
 	for {
+		if v, ok := unreadPayloads.Load(st); ok {
+			if ds := v.([]burst.Delta); len(ds) > 0 {
+				unreadPayloads.Store(st, ds[1:])
+				return ds[0]
+			}
+		}
 		select {
 		case batch, ok := <-st.Events:
 			if !ok {
 				t.Fatal("stream closed while awaiting payload")
 			}
+			var ds []burst.Delta
 			for _, d := range batch {
 				if d.Type == burst.DeltaPayload {
-					return d
+					ds = append(ds, d)
 				}
 			}
+			unreadPayloads.Store(st, ds)
 		case <-deadline:
 			t.Fatal("timed out waiting for payload")
 		}
@@ -486,9 +500,10 @@ func TestMessengerInOrderDelivery(t *testing.T) {
 			t.Errorf("got seq %d text %q, want seq %d", m.Seq, m.Text, want)
 		}
 	}
-	// Resume token tracked via rewrites.
-	waitFor(t, "resume token", func() bool {
-		return st.Request().Header[burst.HdrResumeSeq] == "3"
+	// Resume cursor tracked via rewrites; epoch 0 marks a host without a
+	// durable log.
+	waitFor(t, "resume cursor", func() bool {
+		return st.Request().Header[burst.HdrCursor] == "0.3"
 	})
 }
 
@@ -545,8 +560,8 @@ func TestMessengerResumeAfterReconnect(t *testing.T) {
 	waitFor(t, "sub", func() bool { return len(e.pylon.Subscribers(MailboxTopic(bob))) == 1 })
 	_, _ = e.was.Mutate(alice, fmt.Sprintf(`sendMessage(threadID: %d, text: "before drop")`, tid))
 	recvPayload(t, st1)
-	waitFor(t, "resume-seq 1", func() bool {
-		return st1.Request().Header[burst.HdrResumeSeq] == "1"
+	waitFor(t, "resume cursor at 1", func() bool {
+		return st1.Request().Header[burst.HdrCursor] == "0.1"
 	})
 	saved := st1.Request() // device persists the rewritten request
 	cli1.Close()

@@ -21,12 +21,14 @@ import (
 // mailbox; every message to a thread is appended to each member's mailbox
 // with the mailbox's next consecutive sequence number. Gaps are therefore
 // detectable at both the BRASS and the device, and the BRASS repairs them
-// by querying the WAS — so the device rarely has to.
+// (paper axiom 3: stream-state recovery belongs to the BRASS).
 //
-// Resumption state (the last sequence number pushed) is persisted in the
-// stream header via rewrites: after a failure, the resubscribe arrives
-// carrying HdrResumeSeq and the (possibly different) serving BRASS catches
-// the device up from the mailbox before resuming live delivery.
+// The one resume token is burst.HdrCursor, "epoch.seq" naming the last
+// sequence number pushed, persisted in the stream header via rewrites.
+// Every device repair — reconnect, shed marker, sequence gap — is a
+// resubscribe carrying that cursor clamped to what the device applied
+// gap-free; the (possibly different) serving BRASS then runs catchUp:
+// the host log's retained suffix first, then the WAS mailbox above it.
 type Messenger struct {
 	w Registrar
 
@@ -235,11 +237,6 @@ func (in *messengerInstance) OnStreamOpen(st *brass.Stream) error {
 		return err
 	}
 	state := &messengerStream{}
-	if resume := st.Header(burst.HdrResumeSeq); resume != "" {
-		if seq, err := strconv.ParseUint(resume, 10, 64); err == nil {
-			state.lastSeq = seq
-		}
-	}
 	st.State = state
 	for _, t := range topics {
 		if err := st.AddTopic(t); err != nil {
@@ -248,135 +245,88 @@ func (in *messengerInstance) OnStreamOpen(st *brass.Stream) error {
 	}
 	if len(topics) > 0 {
 		state.topic = topics[0]
-	}
-	if in.rt.LogEnabled() && state.topic != "" {
 		in.rt.LogOpen(state.topic)
-		// Cursor resume: replay the missed suffix from the host's durable
-		// log — gap-free, no backend read. An expired (or malformed)
-		// cursor is NEVER repaired into a fabricated one; the stream falls
-		// through to the WAS resync below instead.
-		if cur := st.Header(burst.HdrCursor); cur != "" {
-			if in.logCatchUp(st, state, cur) {
-				return nil
-			}
-		}
 	}
-	// Catch-up: deliver everything the device missed while disconnected
-	// (the device resubscribed with the last sequence number it had).
-	in.catchUp(st, state)
+	// Resume from the stored cursor: a fresh stream has none and catches
+	// up from the start of its mailbox. "earliest" names the log's
+	// retained floor; a malformed cursor counts as none.
+	var c durlog.Cursor
+	switch raw := st.Header(burst.HdrCursor); raw {
+	case "":
+	case durlog.SentinelEarliest:
+		c, _ = in.rt.LogEarliest(state.topic)
+	default:
+		c, _ = durlog.Parse(raw)
+	}
+	state.lastSeq = c.Seq
+	in.catchUp(st, state, c, true)
 	return nil
 }
 
-// logCatchUp serves a resume from the durable log. It handles the two
-// input-only sentinels ("live" skips the backlog, "earliest" replays the
-// whole retained window) and concrete "epoch.seq" cursors, pushes the
-// gap-free suffix as ONE catch-up batch (bypassing per-stream admission —
-// see Stream.PushCatchUp), and persists the advanced resume state in one
-// rewrite frame. Returns false when the log cannot prove continuity; the
-// caller then falls back to the WAS.
-func (in *messengerInstance) logCatchUp(st *brass.Stream, state *messengerStream, raw string) bool {
-	var c durlog.Cursor
-	switch raw {
-	case durlog.SentinelLive:
-		tail, ok := in.rt.LogTail(state.topic)
-		if !ok {
-			return false
-		}
-		if tail.Seq > state.lastSeq {
-			state.lastSeq = tail.Seq
-		}
-		in.rewriteResumeState(st, state, tail)
-		return true
-	case durlog.SentinelEarliest:
-		e, ok := in.rt.LogEarliest(state.topic)
-		if !ok {
-			return false
-		}
-		c = e
-	default:
-		p, ok := durlog.Parse(raw)
-		if !ok {
-			return false
-		}
-		c = p
-	}
-	entries, next, err := in.rt.LogRead(state.topic, c)
-	if err != nil {
-		return false // expired: fall back to WAS resync, never fabricate
-	}
-	deltas := make([]burst.Delta, 0, len(entries))
-	for _, e := range entries {
-		if e.Seq <= state.lastSeq {
-			continue
-		}
-		deltas = append(deltas, burst.PayloadDelta(e.Seq, e.Payload))
-	}
-	if len(deltas) > 0 {
-		if st.PushCatchUp(deltas...) != nil {
-			return false
+// catchUp is Messenger's one repair path, run on stream open and on an
+// OnEvent gap. It serves the host log's retained suffix above c, then
+// reads the mailbox from the WAS above the last seq served, and pushes
+// both as one gap-free batch. The WAS read is never skipped: the log
+// holds only what this host delivered, and a host that was unsubscribed
+// from Pylon logged nothing meanwhile, so the log's tail is not the
+// mailbox's. An expired cursor (durlog.ErrCursorExpired) serves nothing
+// from the log and the WAS read covers the whole gap; c.Epoch 0, which no
+// log issues, skips the log. A resume (stream open) bypasses per-stream
+// admission (Stream.PushCatchUp); a gap repair is live delivery and stays
+// under it, so a shed there reaches the device as a marker.
+func (in *messengerInstance) catchUp(st *brass.Stream, state *messengerStream, c durlog.Cursor, resume bool) {
+	last := state.lastSeq
+	var logged, read []burst.Delta
+	if c.Epoch != 0 {
+		if entries, _, err := in.rt.LogRead(state.topic, c); err == nil {
+			for _, e := range entries {
+				if e.Seq == last+1 {
+					logged = append(logged, burst.PayloadDelta(e.Seq, e.Payload))
+					last = e.Seq
+				}
+			}
 		}
 	}
-	if next.Seq > state.lastSeq {
-		state.lastSeq = next.Seq
-	}
-	in.rewriteResumeState(st, state, next)
-	return true
-}
-
-// rewriteResume persists the stream's resume state after a delivery. With
-// the durable log enabled both tokens (WAS sequence + log cursor) travel in
-// one rewrite frame; without it, only the legacy sequence field.
-func (in *messengerInstance) rewriteResume(st *brass.Stream, state *messengerStream) {
-	if in.rt.LogEnabled() && state.topic != "" {
-		if tail, ok := in.rt.LogTail(state.topic); ok {
-			in.rewriteResumeState(st, state, tail)
-			return
-		}
-	}
-	_ = st.RewriteHeaderField(burst.HdrResumeSeq, strconv.FormatUint(state.lastSeq, 10))
-}
-
-// rewriteResumeState writes HdrResumeSeq and HdrCursor in a SINGLE rewrite
-// frame: a failover between two separate single-field rewrites could strand
-// a stream carrying a seq and a cursor from different moments, and the
-// resubscribe would resume from an inconsistent pair.
-func (in *messengerInstance) rewriteResumeState(st *brass.Stream, state *messengerStream, c durlog.Cursor) {
-	h := st.Request().Header.Clone()
-	if h == nil {
-		h = burst.Header{}
-	}
-	h[burst.HdrResumeSeq] = strconv.FormatUint(state.lastSeq, 10)
-	h[burst.HdrCursor] = c.String()
-	_ = st.Rewrite(h, nil)
-}
-
-// catchUp polls the mailbox for messages after state.lastSeq and pushes
-// them in order.
-func (in *messengerInstance) catchUp(st *brass.Stream, state *messengerStream) {
-	raw, err := in.rt.Query(st.Viewer, fmt.Sprintf("mailboxSince(seq: %d)", state.lastSeq))
-	if err != nil {
-		return
-	}
-	var msgs []MessagePayload
-	if err := json.Unmarshal(raw, &msgs); err != nil {
-		return
-	}
-	for _, m := range msgs {
-		if m.Seq <= state.lastSeq {
-			continue
-		}
-		b, _ := json.Marshal(m)
-		if state.topic != "" {
+	if raw, err := in.rt.Query(st.Viewer, fmt.Sprintf("mailboxSince(seq: %d)", last)); err == nil {
+		var msgs []MessagePayload
+		_ = json.Unmarshal(raw, &msgs)
+		for _, m := range msgs {
+			if m.Seq != last+1 {
+				continue
+			}
+			b, _ := json.Marshal(m)
 			// The log records every delivery decision, including the ones
 			// made from a WAS read: the next resume on this topic replays
 			// them from the edge instead.
 			in.rt.LogAppend(state.topic, m.Seq, b)
-		}
-		if st.PushPayload(m.Seq, b) == nil {
-			state.lastSeq = m.Seq
+			read = append(read, burst.PayloadDelta(m.Seq, b))
+			last = m.Seq
 		}
 	}
-	in.rewriteResume(st, state)
+	// lastSeq advances even if the push fails: the stream is then dead,
+	// and the device's cursor, clamped to what it applied, is what the
+	// next resume trusts.
+	state.lastSeq = last
+	var err error
+	switch {
+	case len(logged)+len(read) == 0:
+	case resume:
+		err = st.PushCatchUp(logged, read)
+	default:
+		err = st.Push(append(logged, read...)...)
+	}
+	if err == nil {
+		in.rewriteCursor(st, state)
+	}
+}
+
+// rewriteCursor persists the stream's resume token, "epoch.seq" naming the
+// last seq pushed. The epoch is the host log's for the topic, or 0 when
+// the log is off, so such a stream always catches up from the WAS.
+func (in *messengerInstance) rewriteCursor(st *brass.Stream, state *messengerStream) {
+	c, _ := in.rt.LogTail(state.topic)
+	c.Seq = state.lastSeq
+	_ = st.RewriteHeaderField(burst.HdrCursor, c.String())
 }
 
 func (in *messengerInstance) OnStreamClose(st *brass.Stream, reason string) { st.State = nil }
@@ -405,14 +355,16 @@ func (in *messengerInstance) OnEvent(ev pylon.Event) {
 			in.rt.LogAppend(ev.Topic, ev.Seq, payload)
 			if st.PushPayloadFor(ev, ev.Seq, payload) == nil {
 				state.lastSeq = ev.Seq
-				in.rewriteResume(st, state)
+				in.rewriteCursor(st, state)
 			}
 		default:
 			// Gap: a prior event was dropped somewhere. The BRASS
 			// repairs it from the mailbox so the device never sees
 			// the hole (paper §4: "BRASS will recover the dropped
-			// message so the device does not have to").
-			in.catchUp(st, state)
+			// message so the device does not have to"). The host log
+			// never saw the dropped event either, so the repair reads
+			// the WAS directly.
+			in.catchUp(st, state, durlog.Cursor{Seq: state.lastSeq}, false)
 		}
 	}
 }

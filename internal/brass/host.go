@@ -90,9 +90,9 @@ type HostConfig struct {
 	// Durlog, when non-nil, gives the host a durable per-topic delta log
 	// (internal/durlog): applications listed in DurlogApps append every
 	// delivered delta and serve cursor catch-up reads from it, so a
-	// resuming stream replays the missed suffix from the edge instead of
-	// issuing a WAS point query. A nil Clock in the config takes the
-	// host's scheduler.
+	// resuming stream replays the missed suffix from the edge before the
+	// WAS read covers the rest. A nil Clock in the config takes the host's
+	// scheduler.
 	Durlog *durlog.Config
 	// DurlogApps names the applications the log is enabled for (per-app
 	// opt-in: Messenger wants durable resume; TypingIndicator, whose state
@@ -162,7 +162,8 @@ type Host struct {
 	StreamSheds        metrics.Counter // payload deltas shed by per-stream admission
 	LogResumes         metrics.Counter // cursor catch-up reads served from the durable log
 	LogExpired         metrics.Counter // cursor reads refused with ErrCursorExpired
-	LogCatchUpDeltas   metrics.Counter // payload deltas delivered via log catch-up batches
+	LogCatchUpDeltas   metrics.Counter // resume catch-up payload deltas replayed from the durable log
+	WASCatchUpDeltas   metrics.Counter // resume catch-up payload deltas read from the WAS
 }
 
 // subRetry is one topic's background re-subscription state.

@@ -144,7 +144,7 @@ func (inst *Instance) loop() {
 
 // signalFlow tells every stream on this instance that its loop entered or
 // left the shedding state. The detail carries the shed marker so devices
-// know deltas may have been dropped and a resync (WAS point query) is
+// know deltas may have been dropped and a repair (cursor resubscribe) is
 // needed — the gap cannot be trusted (DESIGN.md §7c).
 func (inst *Instance) signalFlow(code burst.FlowCode) {
 	detail := overload.ShedMarkerPrefix + "brass-loop"
@@ -322,7 +322,7 @@ func (inst *Instance) openStream(st *Stream) {
 		inst.flowMu.Unlock()
 		inst.host.StreamsOpened.Inc()
 		// A stream landing on an already-shedding loop learns immediately
-		// that deltas may be dropped, so its device can resync.
+		// that deltas may be dropped, so its device can repair.
 		if inst.tasks.Shedding() {
 			_ = st.burst.SendBatch(burst.FlowStatusDelta(
 				burst.FlowDegraded, overload.ShedMarkerPrefix+"brass-loop"))

@@ -81,7 +81,7 @@ func (st *Stream) Topics() []pylon.Topic {
 // delivery per delta. When per-stream admission is enabled
 // (HostConfig.StreamDeliverRate), an over-rate batch has its payload
 // deltas shed — control deltas always go through — and the device is told
-// via FlowDegraded with a shed marker so it can resync.
+// via FlowDegraded with a shed marker so it can repair the gap.
 func (st *Stream) Push(deltas ...burst.Delta) error {
 	admitted, shed := st.admitPayloads(deltas)
 	if shed > 0 {
@@ -172,29 +172,27 @@ func (st *Stream) admitPayloads(deltas []burst.Delta) ([]burst.Delta, int) {
 	return kept, payloads
 }
 
-// PushCatchUp sends payload deltas replayed from the durable log as one
-// atomic batch, BYPASSING per-stream admission. Catch-up is not live
-// fan-out: the deltas were already admitted (and possibly shed) once when
-// they were first delivered, and the whole point of a cursor resume is to
-// close the gap — running the replay through the admission bucket again
-// would shed it, emit a fresh marker, and trap the stream in a
-// shed→resume→shed livelock. The batch is bounded by the log window, so
-// the bypass cannot be abused for sustained over-rate delivery.
-func (st *Stream) PushCatchUp(deltas ...burst.Delta) error {
+// PushCatchUp sends a stream repair as one atomic batch: the payload
+// deltas replayed from the durable log, then the ones read from the WAS,
+// BYPASSING per-stream admission. Catch-up is not live fan-out: the deltas
+// were already admitted (and possibly shed) once when they were first
+// delivered, and the whole point of a repair is to close the gap — running
+// it through the admission bucket again would shed it, emit a fresh
+// marker, and trap the stream in a shed→resume→shed livelock. The batch is
+// bounded by the gap it closes, so the bypass cannot be abused for
+// sustained over-rate delivery.
+func (st *Stream) PushCatchUp(fromLog, fromWAS []burst.Delta) error {
+	deltas := append(fromLog[:len(fromLog):len(fromLog)], fromWAS...)
 	sp := st.startFlushSpan(firstTrace(deltas), len(deltas))
 	defer sp.End()
 	if err := st.burst.SendBatch(deltas...); err != nil {
 		sp.Annotate("error", "send-failed")
 		return err
 	}
-	n := 0
-	for _, d := range deltas {
-		if d.Type == burst.DeltaPayload {
-			n++
-		}
-	}
-	st.inst.host.Deliveries.Add(int64(n))
-	st.inst.host.LogCatchUpDeltas.Add(int64(n))
+	h := st.inst.host
+	h.Deliveries.Add(int64(len(deltas)))
+	h.LogCatchUpDeltas.Add(int64(len(fromLog)))
+	h.WASCatchUpDeltas.Add(int64(len(fromWAS)))
 	return nil
 }
 
@@ -364,17 +362,18 @@ func (rt *Runtime) Query(viewer socialgraph.UserID, expr string) ([]byte, error)
 	return rt.host.was.QueryIn(rt.host.cfg.Region, viewer, expr)
 }
 
-// LogEnabled reports whether the host's durable log is configured AND
-// opted in for this instance's application. Apps must check it before the
-// other Log* accessors; with it false they fall back to WAS resync.
-func (rt *Runtime) LogEnabled() bool {
+// logEnabled reports whether the host's durable log is configured AND
+// opted in for this instance's application. With it false the Log*
+// accessors do nothing, report !ok or return durlog.ErrUnknownTopic, so
+// an app catches up from the WAS alone.
+func (rt *Runtime) logEnabled() bool {
 	return rt.host.dlog != nil && rt.host.dlogApps[rt.inst.app.Name()]
 }
 
 // LogOpen ensures a durable-log topic exists (idempotent; no-op when the
 // log is disabled for this app).
 func (rt *Runtime) LogOpen(topic pylon.Topic) {
-	if rt.LogEnabled() {
+	if rt.logEnabled() {
 		rt.host.dlog.Open(string(topic))
 	}
 }
@@ -392,9 +391,9 @@ func (rt *Runtime) LogAppend(topic pylon.Topic, seq uint64, payload []byte) bool
 
 // LogRead serves a cursor catch-up read: the gap-free suffix after c, or
 // durlog.ErrCursorExpired when the log cannot prove continuity (the app
-// then falls back to WAS resync — the log NEVER fabricates a cursor).
+// then catches up from the WAS — the log NEVER fabricates a cursor).
 func (rt *Runtime) LogRead(topic pylon.Topic, c durlog.Cursor) ([]durlog.Entry, durlog.Cursor, error) {
-	if !rt.LogEnabled() {
+	if !rt.logEnabled() {
 		return nil, durlog.Cursor{}, durlog.ErrUnknownTopic
 	}
 	out, next, err := rt.host.dlog.ReadFrom(string(topic), c)
@@ -410,7 +409,7 @@ func (rt *Runtime) LogRead(topic pylon.Topic, c durlog.Cursor) ([]durlog.Entry, 
 // LogTail returns the current live cursor for topic (what a client that
 // wants "live only, no backlog" should start from).
 func (rt *Runtime) LogTail(topic pylon.Topic) (durlog.Cursor, bool) {
-	if !rt.LogEnabled() {
+	if !rt.logEnabled() {
 		return durlog.Cursor{}, false
 	}
 	return rt.host.dlog.TailCursor(string(topic))
@@ -419,7 +418,7 @@ func (rt *Runtime) LogTail(topic pylon.Topic) (durlog.Cursor, bool) {
 // LogEarliest returns the cursor from which the entire retained window can
 // be replayed (late joiners reading the full backlog).
 func (rt *Runtime) LogEarliest(topic pylon.Topic) (durlog.Cursor, bool) {
-	if !rt.LogEnabled() {
+	if !rt.logEnabled() {
 		return durlog.Cursor{}, false
 	}
 	return rt.host.dlog.EarliestCursor(string(topic))

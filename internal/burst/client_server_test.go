@@ -166,7 +166,7 @@ func TestRewriteBodyReplacement(t *testing.T) {
 
 func TestResumptionViaRewrite(t *testing.T) {
 	cli, _, srv := newClientServer(t)
-	st, _ := cli.Subscribe(Subscribe{Header: Header{HdrApp: "msgr", HdrResumeSeq: "0"}})
+	st, _ := cli.Subscribe(Subscribe{Header: Header{HdrApp: "msgr", HdrCursor: "0.0"}})
 	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
 	ss := srv.stream(0)
 	// Deliver payloads 1..3, each followed by a resume-token rewrite.
@@ -174,18 +174,18 @@ func TestResumptionViaRewrite(t *testing.T) {
 		if err := ss.SendBatch(PayloadDelta(seq, []byte("m"))); err != nil {
 			t.Fatal(err)
 		}
-		if err := ss.RewriteHeaderField(HdrResumeSeq, "3"); err != nil && seq == 3 {
+		if err := ss.RewriteHeaderField(HdrCursor, "0.3"); err != nil && seq == 3 {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
 		recvBatch(t, st)
 	}
-	waitFor(t, "resume token", func() bool { return st.Request().Header[HdrResumeSeq] == "3" })
+	waitFor(t, "resume token", func() bool { return st.Request().Header[HdrCursor] == "0.3" })
 	// After a failure the device resubscribes with the stored request —
 	// it carries the resume token without the app tracking it.
-	if st.Request().Header[HdrResumeSeq] != "3" {
-		t.Errorf("resume seq = %q", st.Request().Header[HdrResumeSeq])
+	if st.Request().Header[HdrCursor] != "0.3" {
+		t.Errorf("resume cursor = %q", st.Request().Header[HdrCursor])
 	}
 }
 
@@ -363,12 +363,12 @@ func TestServerSessionAccessors(t *testing.T) {
 
 func TestClientResubscribeAlias(t *testing.T) {
 	cli, _, srv := newClientServer(t)
-	st, err := cli.Resubscribe(Subscribe{Header: Header{HdrApp: "x", HdrResumeSeq: "5"}})
+	st, err := cli.Resubscribe(Subscribe{Header: Header{HdrApp: "x", HdrCursor: "0.5"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
-	if got := srv.stream(0).Request().Header[HdrResumeSeq]; got != "5" {
+	if got := srv.stream(0).Request().Header[HdrCursor]; got != "0.5" {
 		t.Errorf("resume header = %q", got)
 	}
 	_ = st

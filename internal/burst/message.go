@@ -47,18 +47,18 @@ const (
 	// HdrStickyBRASS pins the stream to a BRASS instance on reconnect
 	// (sticky routing; written by a rewrite as soon as a stream lands).
 	HdrStickyBRASS = "sticky-brass"
-	// HdrResumeSeq is the sequence number of the last delta the client
-	// received (resumption; maintained by rewrites).
-	HdrResumeSeq = "resume-seq"
 	// HdrClientVersion expresses client capabilities to the BRASS.
 	HdrClientVersion = "client-version"
-	// HdrCursor is the durable-log resume cursor ("epoch.seq", or the
-	// sentinels internal/durlog accepts): the server rewrites it forward
-	// as deltas are delivered, the client clamps it down to what it
-	// actually applied before resubscribing, and the serving BRASS
-	// answers it with a gap-free log catch-up — or expires it, NEVER
-	// fabricating one (the client then falls back to a WAS resync). Like
-	// HdrAdmissionState it lives in the stored request, so failover
+	// HdrCursor is a reliable stream's one resume token, "epoch.seq" (or
+	// the "earliest" sentinel internal/durlog accepts as input). The
+	// server rewrites it forward as deltas are delivered; the client
+	// clamps it down to the highest seq it applied with no gap below
+	// before every resubscribe, whether a reconnect, a shed marker or a
+	// seq gap caused it. The serving BRASS catches up from it: the host
+	// log's retained suffix when the epoch matches (the log expires a
+	// cursor rather than fabricate one), then a WAS read for the rest.
+	// Epoch 0, which no log issues, marks a stream served without a log.
+	// Like HdrAdmissionState it lives in the stored request, so failover
 	// rewrites and resubscriptions carry it across hosts.
 	HdrCursor = "cursor"
 	// HdrTraceStream is a stable stream identity stamped by the device at

@@ -52,8 +52,8 @@ type Config struct {
 	Trace *trace.Plane
 	// Durlog, when set, gives every BRASS host a durable per-topic log
 	// (internal/durlog) and enables cursor-based resume for the listed
-	// applications. nil (the default) keeps the pre-log behaviour: every
-	// recovery is a WAS resync.
+	// applications. nil (the default) leaves the logs off: every resume
+	// catches up from the WAS.
 	Durlog *DurlogConfig
 	// Geo, when set, activates the multi-region plane: each region gets
 	// its own Pylon cluster (over its own subscription KV nodes) and TAO

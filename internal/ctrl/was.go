@@ -11,7 +11,6 @@ import (
 // WAS method names.
 const (
 	MethodQuery               = "was.query"
-	MethodPointQuery          = "was.point-query"
 	MethodMutate              = "was.mutate"
 	MethodResolveSubscription = "was.resolve-subscription"
 	MethodCheckVisibility     = "was.check-visibility"
@@ -62,7 +61,6 @@ func ServeWAS(conn *Conn, srv *was.Server) {
 		}
 	}
 	conn.Handle(MethodQuery, exprCall(srv.QueryIn))
-	conn.Handle(MethodPointQuery, exprCall(srv.PointQueryIn))
 	conn.Handle(MethodMutate, exprCall(srv.MutateIn))
 	conn.Handle(MethodResolveSubscription, func(params json.RawMessage) (any, error) {
 		var p exprParams
@@ -131,11 +129,6 @@ func (c *WASClient) exprCall(method, region string, viewer socialgraph.UserID, e
 // QueryIn implements brass.Backend and device.Backend.
 func (c *WASClient) QueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
 	return c.exprCall(MethodQuery, region, viewer, expr)
-}
-
-// PointQueryIn implements device.Backend.
-func (c *WASClient) PointQueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	return c.exprCall(MethodPointQuery, region, viewer, expr)
 }
 
 // MutateIn implements device.Backend.

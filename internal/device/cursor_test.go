@@ -10,9 +10,9 @@ import (
 	"bladerunner/internal/sim"
 )
 
-// These are white-box tests of the device's durable-log recovery path: the
-// cursor clamp on resubscribe, and the coalescing of both recovery flavors
-// (cursor resumes and point-query resyncs) under repeated shed markers.
+// These are white-box tests of the device's one repair path for cursor
+// streams: the clamp to the gap-free applied seq on resubscribe, and the
+// coalescing of repair triggers under repeated shed markers.
 
 // newIdleDevice builds a device on a manual engine whose timers never fire:
 // After(0, fn) stays pending, which makes pending-state assertions
@@ -45,36 +45,17 @@ func TestCursorResumeCoalesces(t *testing.T) {
 	st.triggerCursorResume()
 	st.triggerCursorResume()
 	st.triggerCursorResume()
-	if got := d.ResyncCoalesced.Value(); got != 2 {
-		t.Fatalf("ResyncCoalesced = %d, want 2", got)
+	if got := d.ResumeCoalesced.Value(); got != 2 {
+		t.Fatalf("ResumeCoalesced = %d, want 2", got)
 	}
 	if got := d.CursorResumes.Value(); got != 0 {
 		t.Fatalf("CursorResumes = %d before the timer fired", got)
 	}
 }
 
-func TestPointResyncCoalesces(t *testing.T) {
-	d, _ := newIdleDevice(t)
-	st := newIdleStream(d)
-	st.SetResync(func(uint64) string { return "q" }, nil)
-
-	st.triggerResync()
-	st.triggerResync()
-	st.triggerResync()
-	if got := d.ResyncCoalesced.Value(); got != 2 {
-		t.Fatalf("ResyncCoalesced = %d, want 2", got)
-	}
-	st.mu.Lock()
-	pending, again := st.resyncPending, st.resyncAgain
-	st.mu.Unlock()
-	if !pending || !again {
-		t.Fatalf("resyncPending=%v resyncAgain=%v, want both true", pending, again)
-	}
-}
-
 // TestResubscribeClampsCursor proves the client half of never-fabricate:
-// a resubscribe lowers a server-advanced cursor to the device's applied
-// seq, and leaves an honest (lower) cursor untouched.
+// a resubscribe lowers a server-advanced cursor to the device's gap-free
+// applied seq, and leaves an honest (lower) cursor untouched.
 func TestResubscribeClampsCursor(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -91,7 +72,7 @@ func TestResubscribeClampsCursor(t *testing.T) {
 			d, _ := newIdleDevice(t)
 			st := newIdleStream(d)
 			st.req.Header[burst.HdrCursor] = tc.cursor
-			st.seq = tc.seq
+			st.applied = tc.seq
 
 			a, b := net.Pipe()
 			var (

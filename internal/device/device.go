@@ -26,15 +26,14 @@ import (
 // ErrNotConnected is returned when subscribing while disconnected.
 var ErrNotConnected = errors.New("device: not connected")
 
-// Backend is the WAS surface a device consumes: initial reads, mutations,
-// and the shed-then-resync point queries. *was.Server satisfies it
-// directly (in-process cluster); the multi-process deployment uses a
-// control-protocol client (internal/ctrl), so a device is oblivious to
-// whether the WAS is a function call or a socket away.
+// Backend is the WAS surface a device consumes: initial reads and
+// mutations. *was.Server satisfies it directly (in-process cluster); the
+// multi-process deployment uses a control-protocol client (internal/ctrl),
+// so a device is oblivious to whether the WAS is a function call or a
+// socket away.
 type Backend interface {
 	QueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error)
 	MutateIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error)
-	PointQueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error)
 }
 
 // Config parameterizes a Device.
@@ -97,17 +96,15 @@ type Device struct {
 	// FlowCoalesced counts stale flow codes evicted so a newer one could
 	// land — the Flow channel always delivers the latest state.
 	FlowCoalesced metrics.Counter
-	// Resyncs counts shed-then-resync point queries issued after an
-	// upstream hop reported a shed gap.
-	Resyncs metrics.Counter
-	// ResyncCoalesced counts recovery triggers absorbed by one already in
-	// flight — shed markers that did NOT become an extra point query or
-	// resubscribe because the pending recovery covers them.
-	ResyncCoalesced metrics.Counter
-	// CursorResumes counts shed gaps repaired by resubscribing with the
-	// durable-log cursor (clamped to the applied seq) instead of a WAS
-	// point query — the log-backed recovery path.
+	// CursorResumes counts gaps (shed markers or skipped seqs) repaired
+	// by cancelling a cursor stream and resubscribing with its cursor
+	// clamped to the gap-free applied seq. A repair that finds the session
+	// down counts too: the reconnect's resubscribe carries it.
 	CursorResumes metrics.Counter
+	// ResumeCoalesced counts repair triggers absorbed by a resume already
+	// scheduled: the resubscribe replays the whole suffix after the
+	// clamped cursor, so they add nothing.
+	ResumeCoalesced metrics.Counter
 	// PeerCloses counts sessions the *edge* hung up cleanly (HandleClose
 	// delivered io.EOF — e.g. a draining POP) as opposed to local closes
 	// or transport failures. The reconnect path is the same either way.
@@ -132,27 +129,19 @@ type Stream struct {
 	curCli *burst.Client // session the current client stream lives on
 	req    burst.Subscribe
 	closed bool
-	seq    uint64 // last payload seq seen
+	seq    uint64 // highest payload seq seen
+	// applied is the highest payload seq with no gap below it: the
+	// position a cursor stream resumes from.
+	applied uint64
 
 	// bo paces per-stream resubscribe retries; retryCancel is the pending
 	// retry timer, cancelled on close or when a resubscribe supersedes it.
 	bo          *faults.Backoff
 	retryCancel func()
 
-	// Shed-then-resync state (SetResync): when an upstream hop signals
-	// FlowDegraded with a shed marker, deltas were dropped and the gap
-	// cannot be trusted, so the device re-fetches authoritative state with
-	// a WAS point query instead of waiting for pushes that never come.
-	resyncBuild   func(lastSeq uint64) string
-	resyncApply   func([]byte)
-	resyncPending bool
-	resyncAgain   bool
-
-	// cursorPending coalesces cursor resumes: while one is scheduled,
-	// further shed markers have nothing to add (the resubscribe replays
-	// the whole clamped-cursor suffix, so there is no trailing re-run to
-	// queue, unlike point-query resyncs).
-	cursorPending bool
+	// resumePending coalesces cursor resumes: while one is scheduled,
+	// further triggers have nothing to add.
+	resumePending bool
 }
 
 // New builds a device. dialer reaches POP targets; wasrv serves the initial
@@ -305,6 +294,11 @@ func (d *Device) Subscribe(app, subscription string, extra burst.Header) (*Strea
 		req:     burst.Subscribe{Header: header},
 		bo:      d.backoff.Child(salt),
 	}
+	// A stream resumed from a stored cursor has applied everything up to
+	// it; any other stream starts from nothing.
+	if c, ok := durlog.Parse(header[burst.HdrCursor]); ok {
+		st.applied = c.Seq
+	}
 	cs, err := cli.Subscribe(st.req)
 	if err != nil {
 		return nil, err
@@ -394,14 +388,14 @@ func (st *Stream) resubscribe(cli *burst.Client) {
 	if st.cur != nil {
 		st.req = st.cur.Request()
 	}
-	// Clamp the durable-log cursor to what this device actually APPLIED:
+	// Clamp the cursor to what this device APPLIED with no gap below:
 	// the server rewrote it forward as it delivered, but deltas past
-	// st.seq died with the session. Lowering an over-claim is always
-	// safe (the server re-serves a prefix the device dedups); raising
-	// one would fabricate progress, which nothing in the system ever
-	// does — Clamp only lowers.
+	// st.applied were shed, lost with the session, or skipped over a
+	// hole. Lowering an over-claim is always safe (the server re-serves
+	// a prefix the device dedups); raising one would fabricate progress,
+	// which nothing in the system ever does — Clamp only lowers.
 	if c := st.req.Header[burst.HdrCursor]; c != "" {
-		st.req.Header[burst.HdrCursor] = durlog.Clamp(c, st.seq)
+		st.req.Header[burst.HdrCursor] = durlog.Clamp(c, st.applied)
 	}
 	req := st.req
 	st.mu.Unlock()
@@ -483,6 +477,13 @@ func (st *Stream) pump(cs *burst.ClientStream) {
 				if delta.Seq > st.seq {
 					st.seq = delta.Seq
 				}
+				if delta.Seq == st.applied+1 {
+					st.applied = delta.Seq
+				}
+				// A seq past the next one means a hole below it. Only a
+				// cursor stream can repair one; other apps' seqs need not
+				// be consecutive.
+				gap := delta.Seq > st.applied+1 && cs.Request().Header[burst.HdrCursor] != ""
 				if !st.closed {
 					st.dev.Updates.Inc()
 					select {
@@ -494,24 +495,24 @@ func (st *Stream) pump(cs *burst.ClientStream) {
 				}
 				st.mu.Unlock()
 				sp.End()
+				if gap {
+					st.triggerCursorResume()
+				}
 			case burst.DeltaFlowStatus:
 				st.dev.FlowEvents.Inc()
 				if (delta.Flow == burst.FlowDegraded && overload.IsShedMarker(delta.FlowDetail)) ||
 					(delta.Flow == burst.FlowRecovered && overload.IsRecoveredMarker(delta.FlowDetail)) {
 					// An upstream hop dropped deltas: the gap is not
-					// trustworthy. If the stored request carries a durable-log
-					// cursor the gap is repairable from the edge — resubscribe
-					// with the clamped cursor and let the serving BRASS replay
-					// the suffix. Otherwise re-fetch via point query. The
-					// episode's CLOSE triggers one too — deltas shed after the
-					// onset recovery's snapshot are only visible now. The
-					// routing check is sound because the BRASS rewrites the
-					// cursor into the stored request during stream open,
-					// BEFORE any live delivery can shed.
+					// trustworthy. A cursor stream repairs it by
+					// resubscribing from its gap-free seq. The episode's
+					// CLOSE triggers one too — deltas shed after the onset
+					// resume are only visible now. The check is sound
+					// because the BRASS rewrites the cursor into the stored
+					// request during stream open, BEFORE any live delivery
+					// can shed. Other streams are best-effort: the app sees
+					// the flow code and nothing more.
 					if cs.Request().Header[burst.HdrCursor] != "" {
 						st.triggerCursorResume()
-					} else {
-						st.triggerResync()
 					}
 				}
 				st.pushFlow(delta.Flow)
@@ -557,121 +558,49 @@ func (st *Stream) pushFlow(code burst.FlowCode) {
 	}
 }
 
-// SetResync registers the stream's shed-then-resync hooks. build renders
-// the point-query expression from the last applied sequence number; apply
-// consumes the query result (e.g. replacing the rendered view). When an
-// upstream hop signals FlowDegraded with a shed marker, the device issues
-// the query off the pump goroutine; concurrent triggers coalesce into one
-// in-flight resync.
-func (st *Stream) SetResync(build func(lastSeq uint64) string, apply func([]byte)) {
-	st.mu.Lock()
-	st.resyncBuild = build
-	st.resyncApply = apply
-	st.mu.Unlock()
-}
-
-// triggerResync schedules a shed-then-resync point query (no-op when no
-// resync hooks are registered or the stream is closed). Triggers that
-// arrive while a resync is in flight coalesce into ONE trailing re-run:
-// the in-flight query's snapshot predates them, so skipping entirely could
-// leave a permanent gap, while re-running once after it completes cannot.
-func (st *Stream) triggerResync() {
-	st.mu.Lock()
-	if st.resyncBuild == nil || st.closed {
-		st.mu.Unlock()
-		return
-	}
-	if st.resyncPending {
-		st.resyncAgain = true
-		st.dev.ResyncCoalesced.Inc()
-		st.mu.Unlock()
-		return
-	}
-	st.resyncPending = true
-	st.mu.Unlock()
-	st.runResync()
-}
-
-// runResync issues one point query off the pump goroutine; resyncPending
-// is held by the caller and released (or rolled into a trailing re-run)
-// when the query completes.
-func (st *Stream) runResync() {
-	st.mu.Lock()
-	build, apply := st.resyncBuild, st.resyncApply
-	seq := st.seq
-	if st.closed || build == nil {
-		st.resyncPending = false
-		st.resyncAgain = false
-		st.mu.Unlock()
-		return
-	}
-	st.mu.Unlock()
-	d := st.dev
-	d.sched.After(0, func() {
-		out, err := d.was.PointQueryIn(d.cfg.Region, d.cfg.User, build(seq))
-		st.mu.Lock()
-		again := st.resyncAgain
-		st.resyncAgain = false
-		if !again {
-			st.resyncPending = false
-		}
-		closed := st.closed
-		st.mu.Unlock()
-		if err == nil && !closed {
-			d.Resyncs.Inc()
-			if apply != nil {
-				apply(out)
-			}
-		}
-		if again {
-			st.runResync()
-		}
-	})
-}
-
-// triggerCursorResume repairs a shed gap from the durable log: cancel the
-// current client stream and resubscribe with the stored request, whose
-// cursor (clamped to the applied seq by resubscribe) the serving BRASS
-// answers with a gap-free catch-up batch. Triggers arriving while one
-// resume is scheduled coalesce away entirely — the resubscribe replays
-// everything after the clamped cursor, so there is nothing left for a
-// trailing re-run to pick up.
+// triggerCursorResume is the device's one repair path for a gap on a
+// cursor stream: cancel the current client stream and resubscribe with
+// the stored request, whose cursor (clamped to the gap-free applied seq by
+// resubscribe) the serving BRASS answers with a gap-free catch-up batch.
+// Triggers arriving while one resume is scheduled coalesce away entirely —
+// the resubscribe replays everything after the clamped cursor, so there
+// is nothing left for a trailing re-run to pick up.
 func (st *Stream) triggerCursorResume() {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
 		return
 	}
-	if st.cursorPending {
-		st.dev.ResyncCoalesced.Inc()
+	if st.resumePending {
+		st.dev.ResumeCoalesced.Inc()
 		st.mu.Unlock()
 		return
 	}
-	st.cursorPending = true
+	st.resumePending = true
 	st.mu.Unlock()
 	d := st.dev
 	d.sched.After(0, func() {
 		st.mu.Lock()
-		st.cursorPending = false
+		st.resumePending = false
 		closed := st.closed
 		cur := st.cur
 		st.mu.Unlock()
 		if closed {
 			return
 		}
+		d.CursorResumes.Inc()
 		d.mu.Lock()
 		cli := d.client
 		ok := d.connected && !d.closed && cli != nil
 		d.mu.Unlock()
 		if !ok {
 			// Session down: the reconnect path resubscribes every stream
-			// with its stored request, which carries the cursor anyway.
+			// with its stored request, clamped the same way.
 			return
 		}
 		if cur != nil {
 			_ = cur.Cancel("cursor-resume")
 		}
-		d.CursorResumes.Inc()
 		st.resubscribe(cli)
 	})
 }

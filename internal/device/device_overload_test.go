@@ -1,14 +1,11 @@
 package device
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"bladerunner/internal/burst"
 	"bladerunner/internal/overload"
-	"bladerunner/internal/was"
 )
 
 // Regression for the slow-device control-delta bug: the apply path used to
@@ -78,86 +75,85 @@ func TestSlowDeviceNeverLosesFlowRecovered(t *testing.T) {
 }
 
 // A shed-marker FlowDegraded means deltas were dropped upstream and the
-// gap cannot be trusted: the device must re-fetch authoritative state via
-// a cheap WAS point query (shed-then-resync) instead of waiting for pushes
-// that will never come.
+// gap cannot be trusted: a cursor stream cancels and resubscribes from its
+// gap-free seq, and the serving BRASS catches it up. A plain degraded
+// notice, or a shed marker on a stream without a cursor, repairs nothing.
 func TestShedMarkerTriggersResync(t *testing.T) {
-	env := newDevEnv(t)
-	w := env.was
-	w.RegisterQuery("snapshot", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
-		return "state-after-" + call.Args["since"], nil
-	})
+	sched := &heldSched{}
+	env := newDevEnvOn(t, sched)
 	if err := env.dev.Connect(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := env.dev.Subscribe("app", "s", nil)
+	plain, err := env.dev.Subscribe("app", "s", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var got []string
-	st.SetResync(
-		func(lastSeq uint64) string { return fmt.Sprintf("snapshot(since: %d)", lastSeq) },
-		func(b []byte) {
-			mu.Lock()
-			got = append(got, string(b))
-			mu.Unlock()
-		},
-	)
-	waitFor(t, "pop stream", func() bool { return env.popA.stream(0) != nil })
-	srv := env.popA.stream(0)
+	st, err := env.dev.Subscribe("messenger", "messenger", burst.Header{burst.HdrCursor: "1.9"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "pop streams", func() bool { return env.popA.stream(1) != nil })
+	plainSrv, srv := env.popA.stream(0), env.popA.stream(1)
 
-	if err := srv.SendBatch(burst.PayloadDelta(9, []byte("p"))); err != nil {
-		t.Fatal(err)
+	send := func(ss *burst.ServerStream, d burst.Delta) {
+		t.Helper()
+		if err := ss.SendBatch(d); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Non-shed degraded notice (e.g. plain connectivity blip): NO resync.
-	if err := srv.SendBatch(burst.FlowStatusDelta(burst.FlowDegraded, "blip")); err != nil {
-		t.Fatal(err)
+	// Neither a non-shed degraded notice (a connectivity blip) nor a shed
+	// marker on a best-effort stream triggers a repair; a shed marker on
+	// the cursor stream does.
+	send(srv, burst.FlowStatusDelta(burst.FlowDegraded, "blip"))
+	send(plainSrv, burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"brass-loop"))
+	send(srv, burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"brass-loop"))
+	// The pump decides on a repair before it hands the flow code to the
+	// app, so once every code is out all three decisions are made.
+	recvFlow := func(s *Stream, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			select {
+			case <-s.Flow:
+			case <-time.After(5 * time.Second):
+				t.Fatal("flow code never surfaced")
+			}
+		}
 	}
-	waitFor(t, "flow event", func() bool { return env.dev.FlowEvents.Value() == 1 })
-	if env.dev.Resyncs.Value() != 0 {
-		t.Fatalf("resync on non-shed degraded notice")
+	recvFlow(plain, 1)
+	recvFlow(st, 2)
+	if n := sched.held(); n != 1 {
+		t.Fatalf("%d repairs scheduled, want 1 (the shed cursor stream only)", n)
 	}
 
-	// Shed-marked degraded notice: resync fires with the last applied seq.
-	if err := srv.SendBatch(burst.FlowStatusDelta(
-		burst.FlowDegraded, overload.ShedMarkerPrefix+"brass-loop")); err != nil {
-		t.Fatal(err)
+	sched.release()
+	waitFor(t, "cursor resubscribe", func() bool { return env.popA.stream(2) != nil })
+	if n := env.dev.CursorResumes.Value(); n != 1 {
+		t.Errorf("CursorResumes = %d, want 1", n)
 	}
-	waitFor(t, "resync", func() bool { return env.dev.Resyncs.Value() == 1 })
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0] != `"state-after-9"` {
-		t.Fatalf("resync results = %q", got)
+	env.popA.mu.Lock()
+	cancels := env.popA.cancels
+	env.popA.mu.Unlock()
+	if cancels != 1 {
+		t.Errorf("cancels = %d, want 1 (the shed stream only)", cancels)
 	}
-	if w.PointQueries.Value() != 1 {
-		t.Errorf("PointQueries = %d, want 1", w.PointQueries.Value())
-	}
-	if w.Queries.Value() != 0 {
-		t.Errorf("resync used a range query (Queries = %d)", w.Queries.Value())
+	if got := env.popA.stream(2).Request().Header[burst.HdrCursor]; got != "1.9" {
+		t.Errorf("resubscribed cursor = %q, want 1.9", got)
 	}
 }
 
-// Concurrent shed notices coalesce: triggers arriving while a resync is
-// in flight collapse into exactly ONE trailing re-run (their deltas were
-// shed after the in-flight snapshot, so skipping them could leave a
-// permanent gap). A fresh notice after everything settles starts anew.
+// Repair triggers arriving while a resume is scheduled collapse into it:
+// the resubscribe replays everything after the clamped cursor, so five
+// shed markers cost one resubscribe. A fresh marker after it ran starts
+// anew.
 func TestResyncCoalescesInFlight(t *testing.T) {
-	env := newDevEnv(t)
-	w := env.was
-	block := make(chan struct{})
-	w.RegisterQuery("snap", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
-		<-block
-		return "ok", nil
-	})
+	sched := &heldSched{}
+	env := newDevEnvOn(t, sched)
 	if err := env.dev.Connect(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := env.dev.Subscribe("app", "s", nil)
-	if err != nil {
+	if _, err := env.dev.Subscribe("messenger", "messenger", burst.Header{burst.HdrCursor: "1.0"}); err != nil {
 		t.Fatal(err)
 	}
-	st.SetResync(func(uint64) string { return "snap" }, nil)
 	waitFor(t, "pop stream", func() bool { return env.popA.stream(0) != nil })
 	srv := env.popA.stream(0)
 
@@ -168,18 +164,23 @@ func TestResyncCoalescesInFlight(t *testing.T) {
 		}
 	}
 	waitFor(t, "flow events", func() bool { return env.dev.FlowEvents.Value() == 5 })
-	close(block) // release the in-flight query; the trailing re-run follows
-	waitFor(t, "in-flight + one trailing resync", func() bool {
-		return env.dev.Resyncs.Value() == 2
-	})
-	time.Sleep(10 * time.Millisecond)
-	if n := env.dev.Resyncs.Value(); n != 2 {
-		t.Fatalf("Resyncs = %d, want 2 (4 in-flight triggers must collapse to one re-run)", n)
+	if n := env.dev.ResumeCoalesced.Value(); n != 4 {
+		t.Fatalf("ResumeCoalesced = %d, want 4", n)
+	}
+	sched.release()
+	waitFor(t, "one resubscribe", func() bool { return env.popA.stream(1) != nil })
+	if n := env.dev.CursorResumes.Value(); n != 1 {
+		t.Fatalf("CursorResumes = %d, want 1", n)
 	}
 
-	if err := srv.SendBatch(burst.FlowStatusDelta(
+	if err := env.popA.stream(1).SendBatch(burst.FlowStatusDelta(
 		burst.FlowDegraded, overload.ShedMarkerPrefix+"again")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "fresh resync after settle", func() bool { return env.dev.Resyncs.Value() == 3 })
+	waitFor(t, "fresh trigger", func() bool { return sched.held() == 1 })
+	sched.release()
+	waitFor(t, "fresh resume after settle", func() bool { return env.popA.stream(2) != nil })
+	if n := env.dev.CursorResumes.Value(); n != 2 {
+		t.Fatalf("CursorResumes = %d, want 2", n)
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"bladerunner/internal/faults"
 	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
+	"bladerunner/internal/sim"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/tao"
 	"bladerunner/internal/was"
@@ -98,6 +99,12 @@ type devEnv struct {
 
 func newDevEnv(t *testing.T) *devEnv {
 	t.Helper()
+	return newDevEnvOn(t, nil)
+}
+
+// newDevEnvOn is newDevEnv with the device's timers on sched.
+func newDevEnvOn(t *testing.T, sched sim.Scheduler) *devEnv {
+	t.Helper()
 	n := edge.NewPipeNetwork()
 	a, b := &fakePOP{name: "pop-a"}, &fakePOP{name: "pop-b"}
 	n.Register("pop-a", a.accept)
@@ -107,7 +114,7 @@ func newDevEnv(t *testing.T) *devEnv {
 		User:           7,
 		POPs:           []string{"pop-a", "pop-b"},
 		ReconnectDelay: 5 * time.Millisecond,
-	}, n, w, nil)
+	}, n, w, sched)
 	t.Cleanup(d.Close)
 	return &devEnv{net: n, popA: a, popB: b, dev: d, was: w}
 }
@@ -188,12 +195,12 @@ func TestReconnectRotatesPOPAndResubscribes(t *testing.T) {
 	}
 	waitFor(t, "stream on pop-a", func() bool { return env.popA.stream(0) != nil })
 
-	// The serving side rewrites a resume token into the request.
-	if err := env.popA.stream(0).RewriteHeaderField(burst.HdrResumeSeq, "12"); err != nil {
+	// The serving side rewrites routing state into the request.
+	if err := env.popA.stream(0).RewriteHeaderField(burst.HdrStickyBRASS, "brass-3"); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "rewrite stored", func() bool {
-		return st.Request().Header[burst.HdrResumeSeq] == "12"
+		return st.Request().Header[burst.HdrStickyBRASS] == "brass-3"
 	})
 
 	env.popA.kill() // POP fails
@@ -202,7 +209,7 @@ func TestReconnectRotatesPOPAndResubscribes(t *testing.T) {
 	// rewritten request.
 	waitFor(t, "resubscribed on pop-b", func() bool { return env.popB.stream(0) != nil })
 	req := env.popB.stream(0).Request()
-	if req.Header[burst.HdrResumeSeq] != "12" {
+	if req.Header[burst.HdrStickyBRASS] != "brass-3" {
 		t.Errorf("resubscribe lost rewrite: %+v", req.Header)
 	}
 	if env.dev.Reconnects.Value() != 1 || env.dev.Resubscribes.Value() != 1 {

@@ -8,8 +8,8 @@
 // ACCEPTS cursors and serves a gap-free batch from the retained window,
 // but NEVER FABRICATES one — a cursor outside the window (predates
 // retention, postdates a crash-truncated tail, or crosses a continuity
-// epoch) returns ErrCursorExpired and the client falls back to a WAS
-// resync. Appends are the delivery hot path and stay allocation-free in
+// epoch) returns ErrCursorExpired and the server catches the client up
+// from the backend instead. Appends are the delivery hot path and stay allocation-free in
 // steady state: every slab (payload bytes, entry offsets, entry seqs) is
 // preallocated at Open and recycled in place by rotation, retention
 // expiry, and gap resets.
@@ -30,20 +30,17 @@ import (
 )
 
 // ErrCursorExpired reports a cursor outside the retained window. The
-// caller must fall back to a full resync — the log will not guess.
+// caller must fall back to a backend read — the log will not guess.
 var ErrCursorExpired = errors.New("durlog: cursor outside retained window")
 
 // ErrUnknownTopic reports a read on a topic never opened on this log.
 var ErrUnknownTopic = errors.New("durlog: topic not opened")
 
-// Sentinel cursor strings a server accepts as INPUT only: they name a
-// position ("replay everything retained" / "skip the backlog") rather
-// than claim delivered state, so serving them never fabricates anything.
-// The log never emits them.
-const (
-	SentinelEarliest = "earliest"
-	SentinelLive     = "live"
-)
+// SentinelEarliest is a cursor string a server accepts as INPUT only: it
+// names a position ("replay everything retained") rather than claim
+// delivered state, so serving it never fabricates anything. The log never
+// emits it.
+const SentinelEarliest = "earliest"
 
 // Cursor names a position in one topic's sequence space. Epoch is the
 // topic's continuity incarnation: it bumps whenever the log can no longer

@@ -229,7 +229,7 @@ func TestCursorParseAndClamp(t *testing.T) {
 		{"0.0", true, Cursor{0, 0}},
 		{"18446744073709551615.1", true, Cursor{^uint64(0), 1}},
 		{SentinelEarliest, false, Cursor{}},
-		{SentinelLive, false, Cursor{}},
+		{"live", false, Cursor{}},
 		{"", false, Cursor{}},
 		{"5", false, Cursor{}},
 		{".5", false, Cursor{}},

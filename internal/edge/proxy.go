@@ -38,7 +38,7 @@ type Proxy struct {
 	RewritesRelayed metrics.Counter
 	DownstreamDrops metrics.Counter
 	// ShedNotices counts shed-marker flow deltas this proxy relayed —
-	// upstream hops telling devices that deltas were dropped and a resync
+	// upstream hops telling devices that deltas were dropped and a repair
 	// is needed. Edge visibility into degraded mode per POP.
 	ShedNotices metrics.Counter
 

@@ -12,15 +12,15 @@ import (
 	"bladerunner/internal/socialgraph"
 )
 
-// DurlogResume reruns the overload storm on the LIVE stack twice — once in
-// the pre-log posture, where every shed episode is repaired by a device
-// point query against the WAS (shed-then-resync), and once with the
-// durable per-topic log enabled for Messenger, where the BRASS appends
-// every delivery decision to its edge log and the device repairs shed gaps
-// by resubscribing from its cursor. The legacy resync machinery stays
-// installed in BOTH runs; with the log on it must go unused — the run
-// measures backend point queries going to ~0 while the view still
-// converges gap-free.
+// DurlogResume reruns the overload storm on the LIVE stack twice, once with
+// the durable per-topic log off and once with it enabled for Messenger.
+// The repair path is the same in both: the device cancels and resubscribes
+// from its gap-free cursor, and the serving BRASS catches it up from its
+// log's retained suffix, then from a WAS read for the rest. With the log
+// off every resume catch-up comes from the WAS; with it on, the log
+// replays what this host delivered and the WAS read covers only what the
+// log never saw (deltas the loop queue shed before the app ran). Both
+// views must converge gap-free.
 func DurlogResume(seed int64) Result { return DurlogResumeOn(sim.RealClock{}, seed) }
 
 // DurlogResumeOn is DurlogResume on an explicit scheduler.
@@ -35,10 +35,9 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 	type outcome struct {
 		sent          uint64
 		sheds         int64
-		resyncs       int64
 		cursorResumes int64
 		coalesced     int64
-		pointQueries  int64
+		wasCatchUp    int64
 		logResumes    int64
 		logCatchUp    int64
 		logAppends    int64
@@ -117,21 +116,6 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 			for range st.Flow {
 			}
 		}()
-		// Legacy shed-then-resync, installed either way: the durable-log
-		// run must leave it idle.
-		st.SetResync(
-			func(lastSeq uint64) string { return fmt.Sprintf("mailboxSince(seq: %d)", lastSeq) },
-			func(out []byte) {
-				var msgs []apps.MessagePayload
-				if json.Unmarshal(out, &msgs) != nil {
-					return
-				}
-				for _, m := range msgs {
-					note(m.Seq)
-				}
-			},
-		)
-
 		var thread uint64
 		out, err := author.Mutate(fmt.Sprintf(`createThread(members: "%d,%d")`, authorUID, viewerUID))
 		if err != nil {
@@ -186,14 +170,13 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 			o.sheds += h.StreamSheds.Value() + h.LoopOverflows.Value()
 			o.logResumes += h.LogResumes.Value()
 			o.logCatchUp += h.LogCatchUpDeltas.Value()
+			o.wasCatchUp += h.WASCatchUpDeltas.Value()
 			if l := h.DurLog(); l != nil {
 				o.logAppends += l.Appends.Value()
 			}
 		}
-		o.resyncs = viewer.Resyncs.Value()
 		o.cursorResumes = viewer.CursorResumes.Value()
-		o.coalesced = viewer.ResyncCoalesced.Value()
-		o.pointQueries = c.WAS.PointQueries.Value()
+		o.coalesced = viewer.ResumeCoalesced.Value()
 
 		viewer.Close()
 		author.Close()
@@ -205,7 +188,7 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 	on := run(true)
 
 	r := Result{ID: "durlog", Title: fmt.Sprintf(
-		"Durable-log resume: overload storm (%d msgs over a 25/s stream budget), WAS resync vs cursor resume", storm)}
+		"Durable-log resume: overload storm (%d msgs over a 25/s stream budget), cursor resume with the log off vs on", storm)}
 	if off.fail != "" || on.fail != "" {
 		r.AddRow("ERROR", "-", off.fail+on.fail, "run aborted")
 		return r
@@ -222,14 +205,12 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 	r.AddRow("stream sheds (off / on)", "-",
 		fmt.Sprintf("%d / %d", off.sheds, on.sheds),
 		"the storm must actually shed for the comparison to mean anything")
-	r.AddRow("WAS point queries, log off", "-", fmt.Sprintf("%d", off.pointQueries),
-		"every shed episode re-reads the mailbox from the backend")
-	r.AddRow("WAS point queries, log on", "~0", fmt.Sprintf("%d", on.pointQueries),
-		"shed gaps replay from the edge log instead")
-	r.AddRow("device point resyncs (off / on)", "-",
-		fmt.Sprintf("%d / %d", off.resyncs, on.resyncs), "")
-	r.AddRow("device cursor resumes, log on", "-", fmt.Sprintf("%d", on.cursorResumes),
-		"cancel + resubscribe from the clamped cursor")
+	r.AddRow("WAS catch-up deltas (off / on)", "-",
+		fmt.Sprintf("%d / %d", off.wasCatchUp, on.wasCatchUp),
+		"resume catch-up read from the backend; with the log on, only what the log never saw")
+	r.AddRow("device cursor resumes (off / on)", "-",
+		fmt.Sprintf("%d / %d", off.cursorResumes, on.cursorResumes),
+		"cancel + resubscribe from the gap-free cursor")
 	r.AddRow("recovery triggers coalesced (off / on)", "-",
 		fmt.Sprintf("%d / %d", off.coalesced, on.coalesced),
 		"markers absorbed by an already-pending repair")

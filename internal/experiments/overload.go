@@ -23,7 +23,7 @@ import (
 //   - shed: the bounded queue drops oldest data deltas once full. Depth —
 //     and therefore p99 delivery latency — stays bounded through the
 //     storm, at the cost of counted sheds, and the hop signals
-//     FlowDegraded/FlowRecovered so devices can resync what was dropped.
+//     FlowDegraded/FlowRecovered so devices can repair what was dropped.
 //   - shed+admission: an admission token bucket in front of the queue
 //     absorbs the storm at ingress; the queue itself barely sheds.
 //
@@ -166,7 +166,7 @@ func OverloadStorm(seed int64) Result {
 	r.AddRow("max queue depth, shed+admission", "-", fmt.Sprintf("%d", admitted.maxDepth), "")
 	r.AddRow("data deltas shed (queue)", "-",
 		fmt.Sprintf("%d / %d / %d", unbounded.queueSheds, shed.queueSheds, admitted.queueSheds),
-		"every shed is counted and signalled; devices resync the gap")
+		"every shed is counted and signalled; devices repair the gap")
 	r.AddRow("arrivals shed at admission", "-", fmt.Sprintf("%d", admitted.admSheds),
 		"shed before any queue work (cheapest place to drop)")
 	r.AddRow("flow signal transitions, shed", "-", fmt.Sprintf("%d", shed.flips),

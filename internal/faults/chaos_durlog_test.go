@@ -1,14 +1,12 @@
 // Chaos run for the durable per-topic log: the overload storm from
 // chaos_overload_test.go rerun with the edge log enabled for Messenger.
-// The invariants flip — shed gaps must now close by cursor resume against
-// the BRASS log, and the backend point-query path, though still installed,
-// must stay completely idle:
+// The repair path is the same — cursor resubscribe, BRASS catch-up — but
+// the catch-up now starts from the BRASS log:
 //
-//   - Gap-free resume with ZERO WAS point queries: every shed payload is
-//     recovered from the host's retained log segments, never by
-//     re-reading the mailbox from the backend.
+//   - Gap-free resume: every resume replays the host's retained log
+//     segments above the cursor before the WAS read covers the rest.
 //   - The device repairs via cancel+resubscribe from its clamped cursor
-//     (CursorResumes > 0, Resyncs == 0).
+//     (CursorResumes > 0).
 //   - The cursor survives connection chaos: a seeded POP cut mid-storm
 //     forces a reconnect, and the resubscribe's HdrCursor replays the
 //     retained window instead of fabricating state.
@@ -32,8 +30,7 @@ import (
 
 // TestChaosDurlogCursorResume storms one mailbox stream over its delivery
 // budget with the durable log on, cuts the device's POP mid-storm, and
-// asserts the view converges gap-free purely through log-backed cursor
-// resumes — the WAS sees zero point queries.
+// asserts the view converges gap-free through log-backed cursor resumes.
 func TestChaosDurlogCursorResume(t *testing.T) {
 	seed := chaosSeed(t)
 	goroutinesBefore := runtime.NumGoroutine()
@@ -41,8 +38,8 @@ func TestChaosDurlogCursorResume(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Graph.Users = 100
 	cfg.Graph.BlockProb = 0
-	// Same aggressive overload posture as the point-query chaos run, so
-	// the two tests shed comparably — only the repair path differs.
+	// Same aggressive overload posture as the log-less chaos run, so the
+	// two tests shed comparably — only the catch-up source differs.
 	cfg.Overload = core.OverloadConfig{
 		LoopQueueDepth:     16,
 		StreamDeliverRate:  25,
@@ -71,29 +68,6 @@ func TestChaosDurlogCursorResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := watch(st)
-
-	// The legacy shed-then-resync hooks stay installed, exactly as a real
-	// client keeps its WAS fallback for ErrCursorExpired — but with the log
-	// retaining the whole storm they must never fire.
-	st.SetResync(
-		func(lastSeq uint64) string {
-			return fmt.Sprintf("mailboxSince(seq: %d)", lastSeq)
-		},
-		func(out []byte) {
-			var msgs []apps.MessagePayload
-			if err := json.Unmarshal(out, &msgs); err != nil {
-				return
-			}
-			w.mu.Lock()
-			for _, m := range msgs {
-				w.seqs[m.Seq] = true
-				if m.Seq > w.maxSeq {
-					w.maxSeq = m.Seq
-				}
-			}
-			w.mu.Unlock()
-		},
-	)
 
 	var thread uint64
 	out, err := author.Mutate(fmt.Sprintf(`createThread(members: "%d,%d")`, authorUID, viewerUID))
@@ -125,6 +99,14 @@ func TestChaosDurlogCursorResume(t *testing.T) {
 	for i := 0; i < storm; i++ {
 		sent += send(fmt.Sprintf("storm-%d", i))
 	}
+
+	// The cut lands only after the device has acted on a shed marker: a
+	// marker sent into the cut dies with the session, and the reconnect's
+	// catch-up then closes every gap before the device sees one, leaving
+	// the marker-driven repair unexercised.
+	waitFor(t, "a cursor resume driven by the storm", func() bool {
+		return viewer.CursorResumes.Value() > 0
+	})
 
 	// Seeded connection chaos on top of the shedding: cut every POP, let
 	// the device notice, heal, and require the resubscribe to carry the
@@ -167,8 +149,8 @@ func TestChaosDurlogCursorResume(t *testing.T) {
 			}
 			w.mu.Unlock()
 			recovered, last := w.snapshot()
-			t.Fatalf("never settled (seed %d): %d sent, first missing seqs %v, cursorResumes=%d, resyncs=%d, recovered=%d, lastFlow=%v",
-				seed, sent, missing, viewer.CursorResumes.Value(), viewer.Resyncs.Value(), recovered, last)
+			t.Fatalf("never settled (seed %d): %d sent, first missing seqs %v, cursorResumes=%d, recovered=%d, lastFlow=%v",
+				seed, sent, missing, viewer.CursorResumes.Value(), recovered, last)
 		}
 		sent += send("trickle")
 		time.Sleep(50 * time.Millisecond)
@@ -178,12 +160,10 @@ func TestChaosDurlogCursorResume(t *testing.T) {
 	if viewer.CursorResumes.Value() == 0 {
 		t.Error("gap closed without any cursor resume — the log path never engaged")
 	}
-	if got := c.WAS.PointQueries.Value(); got != 0 {
-		t.Errorf("WAS saw %d point queries; with the log on, shed repair must not touch the backend", got)
-	}
-	if got := viewer.Resyncs.Value(); got != 0 {
-		t.Errorf("device ran %d legacy point resyncs; cursor streams must route markers to resume instead", got)
-	}
+	// WAS catch-up reads are not asserted to be zero: the 16-deep loop
+	// queue drops live events, which the BRASS repairs from the WAS on the
+	// next seq gap (the log never saw them), and a resume can run ahead
+	// of live events still queued on the loop. Both are logged below.
 	var appends, resumes, catchUp, expired int64
 	for _, h := range c.Hosts {
 		resumes += h.LogResumes.Value()
@@ -215,7 +195,6 @@ func TestChaosDurlogCursorResume(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= goroutinesBefore+3
 	})
-	t.Logf("seed %d: sent=%d sheds=%d cursorResumes=%d appends=%d resumes=%d catchUp=%d pointQueries=%d",
-		seed, sent, sheds, viewer.CursorResumes.Value(), appends, resumes, catchUp,
-		c.WAS.PointQueries.Value())
+	t.Logf("seed %d: sent=%d sheds=%d cursorResumes=%d appends=%d resumes=%d catchUp=%d wasCatchUp=%d",
+		seed, sent, sheds, viewer.CursorResumes.Value(), appends, resumes, catchUp, wasCatchUp(c))
 }

@@ -4,9 +4,10 @@
 // cut, and subscriber churn on the hot mailbox topic. The invariants:
 //
 //   - Gap-free resume: every shed payload is recovered by the device's
-//     shed-then-resync point queries (mailboxSince) — the final view holds
-//     sequence 1..K with no holes, even though most of the storm was
-//     dropped in flight.
+//     cursor resubscribe from its gap-free seq, which the serving BRASS
+//     answers from the WAS mailbox (no durable log here) — the final view
+//     holds sequence 1..K with no holes, even though most of the storm
+//     was dropped in flight.
 //   - Flow state converges: the stream's last flow code is FlowRecovered.
 //   - Subscriber-cache invalidation holds while shedding: a host
 //     unsubscribed mid-storm goes silent once in-flight rounds drain.
@@ -17,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -31,8 +31,8 @@ import (
 
 // TestChaosOverloadGapFreeResync storms one mailbox stream hard enough to
 // shed, cuts the device's POP mid-storm, and asserts the device's view is
-// eventually gap-free purely through shed-then-resync plus the BRASS
-// resume catch-up.
+// eventually gap-free purely through cursor resubscribes and the BRASS
+// catch-up from the WAS.
 func TestChaosOverloadGapFreeResync(t *testing.T) {
 	seed := chaosSeed(t)
 	goroutinesBefore := runtime.NumGoroutine()
@@ -69,44 +69,6 @@ func TestChaosOverloadGapFreeResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := watch(st)
-
-	// Shed-then-resync: a shed marker (or the matching recovery) re-fetches
-	// the mailbox tail via a WAS point query and feeds it to the same
-	// watcher, closing whatever gap the shedding opened.
-	// The first resync dwells until a second recovery marker has arrived
-	// and coalesced into it (bounded at 5s): the shed episode's CLOSE
-	// marker, driven by the post-storm trickle, lands while that first
-	// query is provably still in flight, so the coalescing path (markers
-	// absorbed into one trailing re-run) is exercised deterministically
-	// and asserted below. build runs on its own timer goroutine with
-	// resyncPending held, so the dwell blocks neither the delta pump nor
-	// the reconnect backoff timers.
-	var dwell sync.Once
-	st.SetResync(
-		func(lastSeq uint64) string {
-			dwell.Do(func() {
-				wait := time.Now().Add(5 * time.Second)
-				for viewer.ResyncCoalesced.Value() == 0 && time.Now().Before(wait) {
-					time.Sleep(5 * time.Millisecond)
-				}
-			})
-			return fmt.Sprintf("mailboxSince(seq: %d)", lastSeq)
-		},
-		func(out []byte) {
-			var msgs []apps.MessagePayload
-			if err := json.Unmarshal(out, &msgs); err != nil {
-				return
-			}
-			w.mu.Lock()
-			for _, m := range msgs {
-				w.seqs[m.Seq] = true
-				if m.Seq > w.maxSeq {
-					w.maxSeq = m.Seq
-				}
-			}
-			w.mu.Unlock()
-		},
-	)
 
 	var thread uint64
 	out, err := author.Mutate(fmt.Sprintf(`createThread(members: "%d,%d")`, authorUID, viewerUID))
@@ -159,6 +121,14 @@ func TestChaosOverloadGapFreeResync(t *testing.T) {
 	c.Pylon.RemoveHost(churn.id)
 	silentAt := churn.n.Load()
 
+	// The cut lands only after the device has acted on a shed marker: a
+	// marker sent into the cut dies with the session, and the reconnect's
+	// catch-up then closes every gap before the device sees one, leaving
+	// the marker-driven repair unexercised.
+	waitFor(t, "a cursor resume driven by the storm", func() bool {
+		return viewer.CursorResumes.Value() > 0
+	})
+
 	// Seeded connection chaos on top of the shedding: cut every POP, let
 	// the device notice, heal, and require a full resume.
 	for _, pop := range pops {
@@ -182,8 +152,8 @@ func TestChaosOverloadGapFreeResync(t *testing.T) {
 
 	// Post-storm trickle until the view is gap-free: each message is under
 	// the admission rate, so it lands, closes any open shed episode
-	// (FlowRecovered carries the recovered marker → trailing resync), and
-	// the resyncs backfill everything the storm dropped.
+	// (FlowRecovered carries the recovered marker → trailing resume), and
+	// the resumes backfill everything the storm dropped.
 	// FlowRecovered is emitted lazily (on the next admitted payload after a
 	// shed episode), so the trickle also drives flow-state convergence.
 	settled := func() bool {
@@ -202,20 +172,17 @@ func TestChaosOverloadGapFreeResync(t *testing.T) {
 			}
 			w.mu.Unlock()
 			recovered, last := w.snapshot()
-			t.Fatalf("never settled (seed %d): %d sent, first missing seqs %v, resyncs=%d, recovered=%d, lastFlow=%v",
-				seed, sent, missing, viewer.Resyncs.Value(), recovered, last)
+			t.Fatalf("never settled (seed %d): %d sent, first missing seqs %v, cursorResumes=%d, recovered=%d, lastFlow=%v",
+				seed, sent, missing, viewer.CursorResumes.Value(), recovered, last)
 		}
 		sent += send("trickle")
 		time.Sleep(50 * time.Millisecond)
 	}
-	if viewer.Resyncs.Value() == 0 {
-		t.Error("gap closed without any resync — storm was not shed enough to test the path")
+	if viewer.CursorResumes.Value() == 0 {
+		t.Error("gap closed without any cursor resume — storm was not shed enough to test the path")
 	}
-	if c.WAS.PointQueries.Value() == 0 {
-		t.Error("resyncs issued no WAS point queries")
-	}
-	if viewer.ResyncCoalesced.Value() == 0 {
-		t.Error("no recovery marker coalesced into the dwelled first resync")
+	if wasCatchUp(c) == 0 {
+		t.Error("no repaired payload came from the WAS read; without a log it is the only source")
 	}
 
 	// The removed churn host stays silent for post-removal publishes.
@@ -237,7 +204,16 @@ func TestChaosOverloadGapFreeResync(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= goroutinesBefore+3
 	})
-	t.Logf("seed %d: sent=%d sheds=%d resyncs=%d coalesced=%d pointQueries=%d coalesced-flow=%d",
-		seed, sent, sheds, viewer.Resyncs.Value(), viewer.ResyncCoalesced.Value(),
-		c.WAS.PointQueries.Value(), viewer.FlowCoalesced.Value())
+	t.Logf("seed %d: sent=%d sheds=%d cursorResumes=%d coalesced=%d wasCatchUp=%d coalesced-flow=%d",
+		seed, sent, sheds, viewer.CursorResumes.Value(), viewer.ResumeCoalesced.Value(),
+		wasCatchUp(c), viewer.FlowCoalesced.Value())
+}
+
+// wasCatchUp sums the catch-up payload deltas c's BRASS hosts read from
+// the WAS.
+func wasCatchUp(c *core.Cluster) (n int64) {
+	for _, h := range c.Hosts {
+		n += h.WASCatchUpDeltas.Value()
+	}
+	return n
 }

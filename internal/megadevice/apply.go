@@ -13,15 +13,21 @@ import (
 // cost at 10^6 devices — a mutex, a linear pass of atomic stores over a
 // dense uint32 slice, two counters, and (when a probe is armed on the
 // topic) one histogram observation. streamSeq is written atomically so
-// LastSeq readers on other goroutines need no fleet-wide lock.
+// LastSeq readers on other goroutines need no fleet-wide lock. It reports
+// whether seq skipped past a hole on a cursor stream, which the caller
+// repairs with a resume.
 //
 // run through them.
 //
 // delta delivered to every trunk on a hot topic multiplied by fleet size
 //
 //brlint:hotpath per-delta fan-in for the million-device harness: every
-func (f *Fleet) applyPayload(ts *topicSub, seq uint64) {
+func (f *Fleet) applyPayload(ts *topicSub, seq uint64) (gap bool) {
 	ts.mu.Lock()
+	if seq == ts.applied+1 {
+		ts.applied = seq
+	}
+	gap = seq > ts.applied+1 && ts.header[burst.HdrCursor] != ""
 	streams := ts.streams
 	if len(streams) > 0 {
 		for _, sid := range streams {
@@ -44,36 +50,22 @@ func (f *Fleet) applyPayload(ts *topicSub, seq uint64) {
 	}
 	f.Deltas.Inc()
 	ts.mu.Unlock()
+	return gap
 }
 
 // applyFlow handles flow_status deltas on a shared stream: count them,
-// and on a shed marker record the shed-then-resync episode ONCE for the
-// shared stream (a real fleet would issue one point query per device;
-// the trunk model coalesces them, and OnShed lets the scenario issue a
-// representative real query). Flow deltas are rare control traffic — not
-// part of the hot path.
+// and on a shed marker queue ONE cursor resume for the shared stream (a
+// real fleet would resume each device; the trunk model coalesces them).
+// Streams without a cursor are best-effort and repair nothing. Flow
+// deltas are rare control traffic — not part of the hot path.
 func (f *Fleet) applyFlow(ts *topicSub, d *burst.Delta) {
 	f.FlowEvents.Inc()
 	if d.Flow == burst.FlowDegraded && overload.IsShedMarker(d.FlowDetail) {
 		ts.mu.Lock()
 		cursor := ts.header[burst.HdrCursor] != ""
-		var last uint64
-		for _, sid := range ts.streams {
-			if s := atomic.LoadUint64(&f.tab.streamSeq[sid]); s > last {
-				last = s
-			}
-		}
 		ts.mu.Unlock()
 		if cursor {
-			// Durable-log stream: the gap is repaired by a cursor
-			// resubscribe (counted as CursorResumes when it runs), not a
-			// legacy point-query episode.
 			f.enqueueResume(ts)
-			return
-		}
-		f.Resyncs.Inc()
-		if f.cfg.OnShed != nil {
-			f.enqueueShed(ts.area, last)
 		}
 	}
 }

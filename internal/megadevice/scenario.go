@@ -78,7 +78,6 @@ type Report struct {
 	Deltas       int64  `json:"deltas"`
 	Applied      int64  `json:"applied"`
 	FlowEvents   int64  `json:"flow_events"`
-	Resyncs      int64  `json:"resyncs"`
 
 	Probes      int64 `json:"probes"`
 	ProbeMisses int64 `json:"probe_misses"`
@@ -101,12 +100,14 @@ type Report struct {
 	ReplayLateJoiners    int   `json:"replay_late_joiners,omitempty"`
 	ReplayBacklog        int64 `json:"replay_backlog,omitempty"`
 	ReplayCatchUpApplied int64 `json:"replay_catchup_applied,omitempty"`
-	ReplayPointQueries   int64 `json:"replay_point_queries,omitempty"`
-	LogAppends           int64 `json:"log_appends,omitempty"`
-	LogResumes           int64 `json:"log_resumes,omitempty"`
-	LogCatchUpDeltas     int64 `json:"log_catchup_deltas,omitempty"`
-	LogExpired           int64 `json:"log_expired,omitempty"`
-	CursorResumes        int64 `json:"cursor_resumes,omitempty"`
+	// ReplayWASCatchUpDeltas counts joiner catch-up deltas the BRASS had
+	// to read from the WAS because its log did not hold them.
+	ReplayWASCatchUpDeltas int64 `json:"replay_was_catchup_deltas,omitempty"`
+	LogAppends             int64 `json:"log_appends,omitempty"`
+	LogResumes             int64 `json:"log_resumes,omitempty"`
+	LogCatchUpDeltas       int64 `json:"log_catchup_deltas,omitempty"`
+	LogExpired             int64 `json:"log_expired,omitempty"`
+	CursorResumes          int64 `json:"cursor_resumes,omitempty"`
 
 	// GitDescribe is run metadata stamped by the emitting command
 	// (brload), so every BENCH json records the tree it came from.
@@ -425,7 +426,6 @@ func Run(o Options) (*Report, error) {
 	rep.Deltas = fleet.Deltas.Value()
 	rep.Applied = fleet.Applied.Value()
 	rep.FlowEvents = fleet.FlowEvents.Value()
-	rep.Resyncs = fleet.Resyncs.Value()
 	rep.BytesPerDevice = fleet.BytesPerDevice()
 	if rep.WallSecs > 0 {
 		rep.EventsPerSec = (float64(rep.EngineEvents) + float64(rep.Applied)) / rep.WallSecs
@@ -576,7 +576,13 @@ func runReplay(o Options) (*Report, error) {
 	sim.Sleep(wall, 200*time.Millisecond)
 	fleet.Service()
 	seedApplied := fleet.Applied.Value()
-	pointBase := cluster.WAS.PointQueries.Value()
+	wasCatchUp := func() (n int64) {
+		for _, h := range cluster.Hosts {
+			n += h.WASCatchUpDeltas.Value()
+		}
+		return n
+	}
+	wasBase := wasCatchUp()
 	o.Logf("backlog published: %d messages, seed applied %d", rep.ReplayBacklog, seedApplied)
 
 	// Phase 3: late joiners subscribe from "earliest"; their catch-up is
@@ -605,7 +611,7 @@ func runReplay(o Options) (*Report, error) {
 	fleet.Service()
 
 	rep.ReplayCatchUpApplied = fleet.Applied.Value() - seedApplied
-	rep.ReplayPointQueries = cluster.WAS.PointQueries.Value() - pointBase
+	rep.ReplayWASCatchUpDeltas = wasCatchUp() - wasBase
 	rep.WallSecs = wall.Now().Sub(start).Seconds()
 	rep.EngineEvents = engine.Executed()
 	rep.Transitions = fleet.Transitions.Value()
@@ -616,7 +622,6 @@ func runReplay(o Options) (*Report, error) {
 	rep.Deltas = fleet.Deltas.Value()
 	rep.Applied = fleet.Applied.Value()
 	rep.FlowEvents = fleet.FlowEvents.Value()
-	rep.Resyncs = fleet.Resyncs.Value()
 	rep.CursorResumes = fleet.CursorResumes.Value()
 	rep.BytesPerDevice = fleet.BytesPerDevice()
 	for _, h := range cluster.Hosts {
@@ -631,7 +636,7 @@ func runReplay(o Options) (*Report, error) {
 		rep.EventsPerSec = (float64(rep.EngineEvents) + float64(rep.Applied)) / rep.WallSecs
 	}
 	rep.LatencyNS = fleet.ApplyLatency.Snapshot()
-	o.Logf("replay: joiners applied %d of %d backlog deltas from the log (resumes=%d, point queries=%d)",
-		rep.ReplayCatchUpApplied, int64(backlogPerArea)*int64(o.Devices-seedDevs), rep.LogResumes, rep.ReplayPointQueries)
+	o.Logf("replay: joiners applied %d of %d backlog deltas from the log (resumes=%d, WAS catch-up deltas=%d)",
+		rep.ReplayCatchUpApplied, int64(backlogPerArea)*int64(o.Devices-seedDevs), rep.LogResumes, rep.ReplayWASCatchUpDeltas)
 	return rep, nil
 }

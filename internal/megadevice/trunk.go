@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"bladerunner/internal/burst"
 	"bladerunner/internal/durlog"
@@ -43,6 +42,9 @@ type topicSub struct {
 	mu      sync.Mutex
 	streams []uint32
 	header  burst.Header // stored request header, patched by rewrites
+	// applied is the highest payload seq with no gap below it: the
+	// position a cursor resubscribe resumes from.
+	applied uint64
 }
 
 // trunkForLocked returns the live trunk for pop, dialing one if needed.
@@ -98,6 +100,9 @@ func (t *trunk) sub(area uint32) *topicSub {
 	}
 	if a.Cursor != "" {
 		ts.header[burst.HdrCursor] = a.Cursor
+		if c, ok := durlog.Parse(a.Cursor); ok {
+			ts.applied = c.Seq
+		}
 	}
 	t.subs[area] = ts
 	t.bySID[ts.sid] = ts
@@ -111,14 +116,13 @@ func (t *trunk) sub(area uint32) *topicSub {
 	return ts
 }
 
-// resumeSub repairs a shed gap on a shared stream the durable-log way:
-// cancel the shed subscription and resubscribe under a fresh stream id
-// with the stored (rewrite-maintained) cursor, clamped to the highest seq
-// actually applied on the stream — the trunk-model analogue of
-// device.Stream.triggerCursorResume, and subject to the same
-// never-raise clamp rule. One resume covers every virtual device
-// attached to the stream, exactly as one OnShed point query does for the
-// legacy path. Called from Service, outside all fleet locks.
+// resumeSub repairs a gap on a shared cursor stream: cancel the
+// subscription and resubscribe under a fresh stream id with the stored
+// (rewrite-maintained) cursor, clamped to the gap-free applied seq — the
+// trunk-model analogue of device.Stream.triggerCursorResume, and subject
+// to the same never-raise clamp rule. One resume covers every virtual
+// device attached to the stream. Called from Service, outside all fleet
+// locks.
 func (t *trunk) resumeSub(ts *topicSub) {
 	t.mu.Lock()
 	if t.sess == nil || t.subs == nil || t.subs[ts.area] != ts {
@@ -131,13 +135,8 @@ func (t *trunk) resumeSub(ts *topicSub) {
 	delete(t.bySID, oldSID)
 	t.bySID[newSID] = ts
 	ts.sid = newSID
-	var last uint64
 	ts.mu.Lock()
-	for _, sid := range ts.streams {
-		if s := atomic.LoadUint64(&t.f.tab.streamSeq[sid]); s > last {
-			last = s
-		}
-	}
+	last := ts.applied
 	req := burst.Subscribe{Header: ts.header.Clone()}
 	ts.mu.Unlock()
 	t.mu.Unlock()
@@ -185,7 +184,9 @@ func (h trunkHandler) HandleFrame(fr burst.Frame) {
 		d := &batch.Deltas[i]
 		switch d.Type {
 		case burst.DeltaPayload:
-			f.applyPayload(ts, d.Seq)
+			if f.applyPayload(ts, d.Seq) {
+				f.enqueueResume(ts)
+			}
 		case burst.DeltaFlowStatus:
 			f.applyFlow(ts, d)
 		case burst.DeltaRewriteRequest:

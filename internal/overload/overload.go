@@ -48,8 +48,8 @@ func (c Class) String() string {
 
 // ShedMarkerPrefix prefixes the FlowDetail of every FlowDegraded emitted
 // because a hop shed data deltas. Devices use it to distinguish "the path
-// is degraded, wait" from "deltas were dropped, resynchronize via a WAS
-// point query" (shed-then-resync).
+// is degraded, wait" from "deltas were dropped, resubscribe from the
+// gap-free cursor" (a reliable stream's repair).
 const ShedMarkerPrefix = "shed:"
 
 // RecoveredMarkerPrefix prefixes the FlowDetail of the matching
@@ -63,8 +63,8 @@ func IsShedMarker(detail string) bool {
 }
 
 // IsRecoveredMarker reports whether a flow_status detail string marks the
-// end of a shed episode. Devices resync on this too: deltas shed after the
-// onset resync's snapshot are only recoverable once the episode closes.
+// end of a shed episode. Devices repair on this too: deltas shed after the
+// onset repair's catch-up are only recoverable once the episode closes.
 func IsRecoveredMarker(detail string) bool {
 	return len(detail) >= len(RecoveredMarkerPrefix) && detail[:len(RecoveredMarkerPrefix)] == RecoveredMarkerPrefix
 }
