@@ -71,6 +71,8 @@ func clusterConfig(b bootstrap) core.Config {
 }
 
 // ctrlServer accepts control connections and wires each one's services.
+// A conn leaves conns when it dies, so a restarted peer leaves nothing
+// behind.
 type ctrlServer struct {
 	ln net.Listener
 
@@ -93,7 +95,12 @@ func newCtrlServer(addr, role string, onDrain func(), setup func(*ctrl.Conn)) (*
 			if err != nil {
 				return // listener closed
 			}
-			conn := ctrl.NewConn(role+"-ctrl", c, nil)
+			var conn *ctrl.Conn
+			conn = ctrl.NewConn(role+"-ctrl", c, func(error) {
+				s.mu.Lock()
+				delete(s.conns, conn)
+				s.mu.Unlock()
+			})
 			ctrl.ServeNode(conn, role, onDrain)
 			if setup != nil {
 				setup(conn)

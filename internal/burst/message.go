@@ -86,6 +86,9 @@ type FrameType uint8
 
 // Frame types. Subscribe/Cancel/Ack flow upstream (toward the BRASS);
 // Batch flows downstream; Ping/Pong flow both ways for liveness.
+// Request/Reply/Error carry the tier-to-tier RPC of internal/ctrl on a
+// session with no streams: the SID is the request id (0 for a
+// notification), never a stream.
 const (
 	FrameSubscribe FrameType = iota + 1
 	FrameCancel
@@ -93,6 +96,9 @@ const (
 	FrameBatch
 	FramePing
 	FramePong
+	FrameRequest
+	FrameReply
+	FrameError
 )
 
 func (t FrameType) String() string {
@@ -109,6 +115,12 @@ func (t FrameType) String() string {
 		return "ping"
 	case FramePong:
 		return "pong"
+	case FrameRequest:
+		return "request"
+	case FrameReply:
+		return "reply"
+	case FrameError:
+		return "error"
 	default:
 		return fmt.Sprintf("frametype(%d)", uint8(t))
 	}

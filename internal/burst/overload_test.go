@@ -3,6 +3,7 @@ package burst
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // A bounded pending buffer sheds its OLDEST payload deltas when Queue
@@ -114,26 +115,34 @@ func TestClientBufferEvictionSalvagesControl(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < eventBuffer; i++ {
-		if err := ss.SendBatch(PayloadDelta(uint64(total+2+i), []byte("z"))); err != nil {
+	last := uint64(total + 1 + eventBuffer)
+	for seq := uint64(total + 2); seq <= last; seq++ {
+		if err := ss.SendBatch(PayloadDelta(seq, []byte("z"))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitFor(t, "drops counted", func() bool { return cli.Dropped.Value() > 0 })
 	waitFor(t, "control salvaged", func() bool { return cli.CtlSalvaged.Value() >= 1 })
 
-	// Drain everything: the degraded notice must still be in there.
-	sawFlow := false
-	for done := false; !done; {
+	// Drain up to the last payload sent: the degraded notice must still be
+	// in there. CtlSalvaged counts before the salvaged batch is re-queued,
+	// so the read goroutine may still be pushing; the last batch is never
+	// evicted, so seeing it means every push has landed.
+	sawFlow, sawLast := false, false
+	deadline := time.After(5 * time.Second)
+	for !sawLast {
 		select {
 		case batch := <-st.Events:
 			for _, d := range batch {
 				if d.Type == DeltaFlowStatus && d.Flow == FlowDegraded {
 					sawFlow = true
 				}
+				if d.Type == DeltaPayload && d.Seq == last {
+					sawLast = true
+				}
 			}
-		default:
-			done = true
+		case <-deadline:
+			t.Fatalf("payload seq %d never arrived", last)
 		}
 	}
 	if !sawFlow {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bladerunner/internal/sim"
@@ -27,8 +28,8 @@ type FrameHandler interface {
 
 // Session multiplexes BURST frames over one underlying byte transport.
 // Sends are safe for concurrent use. Ping frames are answered with Pong
-// automatically; pongs are surfaced to the optional PongListener for
-// keepalive tracking.
+// automatically, off the read loop; pongs are surfaced to the optional
+// PongListener for keepalive tracking.
 type Session struct {
 	name string
 	rwc  io.ReadWriteCloser
@@ -44,7 +45,8 @@ type Session struct {
 	err    error
 	onPong func()
 
-	done chan struct{}
+	pongsOwed atomic.Int64 // pings read whose pong is not yet written
+	done      chan struct{}
 }
 
 // NewSession wraps rwc and starts the read loop. name is used in errors.
@@ -209,8 +211,22 @@ func (s *Session) readLoop() {
 		}
 		switch f.Type {
 		case FramePing:
-			// Answer liveness probes inline.
-			_ = s.Send(Frame{Type: FramePong})
+			// Pong off the read loop: a pong written inline stops reading
+			// until the peer reads, so two ends pinging at once over an
+			// unbuffered pipe or a full TCP connection wait on each
+			// other's read loops. One writer at a time owes every ping
+			// its pong; it ends when none is owed, and closing the
+			// session fails a blocked write.
+			if s.pongsOwed.Add(1) == 1 {
+				go func() {
+					for {
+						_ = s.Send(Frame{Type: FramePong})
+						if s.pongsOwed.Add(-1) == 0 {
+							return
+						}
+					}
+				}()
+			}
 		case FramePong:
 			s.mu.Lock()
 			fn := s.onPong

@@ -3,6 +3,7 @@ package burst
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,5 +220,33 @@ func TestKeepaliveKeepsHealthySessionOpen(t *testing.T) {
 	case <-sa.Done():
 		t.Fatal("healthy session was closed by keepalive")
 	default:
+	}
+}
+
+// Both ends ping at once over an unbuffered pipe, as two heartbeats on
+// the same schedule do. A pong written inline by the read loop blocks it
+// until the peer reads, while the peer's read loop blocks writing its own
+// pong: neither pong lands, and each heartbeat would declare the other
+// dead.
+func TestCrossingPingsBothAnswered(t *testing.T) {
+	a, b := pipePair()
+	sa := NewSession("a", a, HandlerFuncs{})
+	sb := NewSession("b", b, HandlerFuncs{})
+	defer sa.Close()
+	defer sb.Close()
+	var pongs atomic.Int64
+	sa.SetPongListener(func() { pongs.Add(1) })
+	sb.SetPongListener(func() { pongs.Add(1) })
+	for i := int64(1); i <= 50; i++ {
+		var wg sync.WaitGroup
+		for _, s := range []*Session{sa, sb} {
+			wg.Add(1)
+			go func(s *Session) {
+				defer wg.Done()
+				_ = s.Ping()
+			}(s)
+		}
+		wg.Wait()
+		waitFor(t, "both pongs", func() bool { return pongs.Load() == 2*i })
 	}
 }

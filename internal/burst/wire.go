@@ -12,7 +12,7 @@ import (
 //	1 byte  frame type
 //	8 bytes stream id (big endian)
 //	4 bytes payload length (big endian)
-//	N bytes payload (JSON)
+//	N bytes payload (JSON for stream frames; see internal/ctrl for RPC frames)
 //
 // MaxPayload bounds a single frame's payload; batches larger than this must
 // be split by the sender. The bound protects intermediaries from unbounded
@@ -56,7 +56,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if n > MaxPayload {
 		return Frame{}, fmt.Errorf("burst: frame payload %d exceeds max %d", n, MaxPayload)
 	}
-	if f.Type < FrameSubscribe || f.Type > FramePong {
+	if f.Type < FrameSubscribe || f.Type > FrameError {
 		return Frame{}, fmt.Errorf("burst: unknown frame type %d", hdr[0])
 	}
 	if n > 0 {

@@ -51,6 +51,9 @@ func TestReadFrameToleratesPartialReads(t *testing.T) {
 		{Type: FrameBatch, SID: 7, Payload: []byte(strings.Repeat("x", 1000))},
 		{Type: FramePong},
 		{Type: FrameAck, SID: 1 << 40, Payload: []byte(`{"seq":9}`)},
+		{Type: FrameRequest, SID: 2, Payload: []byte("\x09was.query{\"viewer\":7}")},
+		{Type: FrameReply, SID: 2, Payload: []byte(`{"data":"eA=="}`)},
+		{Type: FrameError, SID: 3, Payload: []byte("\x0awas-deniedhidden")},
 	}
 	for _, f := range want {
 		if err := WriteFrame(&buf, f); err != nil {
@@ -73,7 +76,8 @@ func TestReadFrameToleratesPartialReads(t *testing.T) {
 }
 
 // roundTrip runs a session round-trip over the given transport pair, with
-// the receiving side reading through the 1–7-byte chunker.
+// the receiving side reading through the 1–7-byte chunker. Stream batches
+// interleave with ctrl request, reply and error frames.
 func roundTrip(t *testing.T, a, b io.ReadWriteCloser) {
 	t.Helper()
 	col := &frameCollector{}
@@ -82,10 +86,11 @@ func roundTrip(t *testing.T, a, b io.ReadWriteCloser) {
 	defer sa.Close()
 	defer sb.Close()
 
+	types := []FrameType{FrameBatch, FrameRequest, FrameReply, FrameError}
 	const n = 50
 	for i := 0; i < n; i++ {
 		payload := []byte(fmt.Sprintf(`{"seq":%d,"pad":%q}`, i, strings.Repeat("p", i*13%301)))
-		if err := sa.Send(Frame{Type: FrameBatch, SID: StreamID(i), Payload: payload}); err != nil {
+		if err := sa.Send(Frame{Type: types[i%len(types)], SID: StreamID(i), Payload: payload}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,8 +98,8 @@ func roundTrip(t *testing.T, a, b io.ReadWriteCloser) {
 	col.mu.Lock()
 	defer col.mu.Unlock()
 	for i, f := range col.frames {
-		if f.SID != StreamID(i) {
-			t.Fatalf("frame %d has sid %d: reordered or corrupted", i, f.SID)
+		if f.SID != StreamID(i) || f.Type != types[i%len(types)] {
+			t.Fatalf("frame %d has sid %d type %v: reordered or corrupted", i, f.SID, f.Type)
 		}
 		want := fmt.Sprintf(`{"seq":%d,"pad":%q}`, i, strings.Repeat("p", i*13%301))
 		if string(f.Payload) != want {

@@ -17,6 +17,10 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: FrameBatch, SID: 1 << 40, Payload: []byte(`{"deltas":[]}`)},
 		{Type: FramePing},
 		{Type: FramePong},
+		{Type: FrameRequest, SID: 3, Payload: []byte("\x0fpylon.subscribe{\"topic\":\"/t/1\"}")},
+		{Type: FrameRequest, Payload: []byte("\x0dpylon.deliver{}")}, // notification
+		{Type: FrameReply, SID: 3},
+		{Type: FrameError, SID: 4, Payload: []byte("\x0fpylon-no-quorum2 of 3 down")},
 	}
 	var buf bytes.Buffer
 	for _, f := range frames {
@@ -39,11 +43,13 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestReadFrameRejectsUnknownType(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteByte(0xEE)
-	buf.Write(make([]byte, 12))
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Error("unknown frame type accepted")
+	for _, typ := range []byte{0, byte(FrameError) + 1, 0xEE} {
+		var buf bytes.Buffer
+		buf.WriteByte(typ)
+		buf.Write(make([]byte, 12))
+		if _, err := ReadFrame(&buf); err == nil {
+			t.Errorf("unknown frame type %d accepted", typ)
+		}
 	}
 }
 
@@ -154,7 +160,7 @@ func TestHeaderClone(t *testing.T) {
 }
 
 func TestTypeStrings(t *testing.T) {
-	if FrameSubscribe.String() != "subscribe" || FrameType(99).String() == "" {
+	if FrameSubscribe.String() != "subscribe" || FrameRequest.String() != "request" || FrameType(99).String() == "" {
 		t.Error("FrameType.String broken")
 	}
 	if DeltaFlowStatus.String() != "flow_status" || DeltaType(99).String() == "" {
@@ -168,7 +174,7 @@ func TestTypeStrings(t *testing.T) {
 // Property: any frame with a valid type and bounded payload round-trips.
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(typ uint8, sid uint64, payload []byte) bool {
-		ft := FrameType(typ%6) + 1
+		ft := FrameType(typ%uint8(FrameError)) + 1
 		if len(payload) > 1<<16 {
 			payload = payload[:1<<16]
 		}

@@ -1,114 +1,125 @@
 // Package ctrl is the control protocol between Bladerunner tier processes:
-// a small newline-delimited JSON RPC carried over any io.ReadWriteCloser
-// (in production a TCP connection from edge.TCPNetwork). It exists so the
+// a small request/response layer over one burst.Session, carried over any
+// io.ReadWriteCloser (in production a TCP connection). It exists so the
 // multi-process deployment (cmd/brnode) can cut the in-process cluster at
 // its interface seams — brass.PubSub, brass.Backend, device.Backend — and
 // replace a function call with a socket without the tiers noticing.
 //
-// The protocol has three message shapes on one duplex connection:
+// Every message is one BURST frame whose SID is the request id:
 //
-//	request:      {"id":1,"method":"pylon.subscribe","params":{...}}
-//	response:     {"id":1,"result":{...}}  or  {"id":1,"error":{"code":"...","msg":"..."}}
-//	notification: {"method":"pylon.deliver","params":{...}}   (no id, no reply)
+//	FrameRequest  uvarint len(method), method, params JSON
+//	FrameReply    result JSON (empty for a nil result)
+//	FrameError    uvarint len(code), code, message
 //
-// Both ends may call and serve on the same Conn; ids are correlated per
-// direction (each side numbers its own requests). Incoming requests and
-// notifications are dispatched in arrival order on a single dispatcher
-// goroutine, never on the read loop — a handler that issues a Call back
-// over the same Conn must not deadlock against the loop that would
-// deliver its response. Event delivery (pylon.deliver) therefore stays
+// A notification is a request with SID 0: no reply, even on error.
+//
+// Both ends may call and serve on the same Conn; each side numbers its own
+// requests from 1. The session's read loop resolves replies directly and
+// queues requests; one dispatcher goroutine serves them in arrival order,
+// so a handler that Calls back over the same Conn cannot deadlock against
+// the loop that reads its reply, and event delivery (pylon.deliver) stays
 // ordered per connection, matching Pylon's per-topic ordering contract.
 //
-// BURST is deliberately not reused here: BURST frames are per-stream
-// device traffic with flow control and shedding; control traffic wants
-// strict request/response semantics and zero shedding. The two protocols
-// share sockets' fate, nothing else.
+// Only the Session is used, never burst.Client/Server streams, so nothing
+// on the control path is shed. Start heartbeats the session: a peer that
+// stops answering pings is declared dead and every pending Call fails with
+// ErrConnClosed.
 package ctrl
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
+	"time"
+
+	"bladerunner/internal/burst"
+	"bladerunner/internal/sim"
 )
 
 // ErrConnClosed is wrapped by calls that fail because the connection is
 // (or just became) closed.
 var ErrConnClosed = errors.New("ctrl: connection closed")
 
+// Heartbeat: a ping every keepaliveInterval; a peer whose pong has not
+// arrived keepaliveTimeout after the ping is dead. The peer's session, not
+// its dispatcher, answers pings, so a slow handler cannot trip it.
+const (
+	keepaliveInterval = time.Second
+	keepaliveTimeout  = 3 * time.Second
+)
+
 // Handler serves one method. The returned value is marshaled as the
 // result; a returned error is mapped to a wire error (sentinel identities
-// surviving via codeFor/errFor).
+// surviving via wire/unwire).
 type Handler func(params json.RawMessage) (any, error)
 
-// envelope is the single wire shape; field presence distinguishes the
-// three message kinds (ids start at 1, so ID==0 means "absent").
-type envelope struct {
-	ID     uint64          `json:"id,omitempty"`
-	Method string          `json:"method,omitempty"`
-	Params json.RawMessage `json:"params,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  *wireError      `json:"error,omitempty"`
-}
-
-// wireError carries an error across the wire. Code preserves sentinel
-// identity (see errors.go); Msg is the human-readable rendering.
-type wireError struct {
-	Code string `json:"code,omitempty"`
-	Msg  string `json:"msg"`
+// handle registers fn for method, decoding the params JSON into a P.
+func handle[P any](conn *Conn, method string, fn func(P) (any, error)) {
+	conn.Handle(method, func(params json.RawMessage) (any, error) {
+		var p P
+		if err := json.Unmarshal(params, &p); err != nil {
+			return nil, err
+		}
+		return fn(p)
+	})
 }
 
 // Conn is one control connection. Safe for concurrent use.
 type Conn struct {
-	name string
-	rwc  io.ReadWriteCloser
-
-	wmu sync.Mutex
-	enc *json.Encoder
+	name    string
+	rwc     io.ReadWriteCloser
+	onClose func(error)
 
 	mu       sync.Mutex
+	sess     *burst.Session // set by Start
+	ka       *burst.Keepalive
 	handlers map[string]Handler
-	pending  map[uint64]chan envelope
+	pending  map[uint64]chan burst.Frame
 	nextID   uint64
 	closed   bool
 	err      error
-	onClose  func(error)
 
-	// Incoming requests/notifications queue here (unbounded, so the read
-	// loop never blocks behind a slow handler) and drain in order on the
+	// Incoming requests queue here (unbounded, so the session read loop
+	// never blocks behind a slow handler) and drain in order on the
 	// dispatcher goroutine.
 	qmu   sync.Mutex
 	qcond *sync.Cond
-	queue []envelope
+	queue []burst.Frame
 	qdone bool
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // the dispatcher
 }
 
 // NewConn wraps rwc in a control connection. name labels errors. onClose,
 // when non-nil, fires once when the connection dies (nil error for a local
-// Close). The read and dispatch loops do not run until Start — register
-// every handler first, so a fast peer's first request cannot race
-// registration.
+// Close). Nothing is read until Start — register every handler first, so a
+// fast peer's first request cannot race registration.
 func NewConn(name string, rwc io.ReadWriteCloser, onClose func(error)) *Conn {
 	c := &Conn{
 		name:     name,
 		rwc:      rwc,
-		enc:      json.NewEncoder(rwc),
-		handlers: make(map[string]Handler),
-		pending:  make(map[uint64]chan envelope),
 		onClose:  onClose,
+		handlers: make(map[string]Handler),
+		pending:  make(map[uint64]chan burst.Frame),
 	}
 	c.qcond = sync.NewCond(&c.qmu)
 	return c
 }
 
-// Start launches the read and dispatch loops. Call exactly once, after
-// handler registration.
+// Start opens the session, its heartbeat and the dispatcher. Call exactly
+// once, after handler registration and before any Call or Notify.
 func (c *Conn) Start() *Conn {
-	c.wg.Add(2)
-	go c.readLoop()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return c
+	}
+	c.sess = burst.NewSession(c.name, c.rwc, burst.HandlerFuncs{OnFrame: c.receive, OnClose: c.closeWith})
+	c.ka = burst.StartKeepalive(c.sess, sim.RealClock{}, keepaliveInterval, keepaliveTimeout)
+	c.wg.Add(1)
 	go c.dispatchLoop()
 	return c
 }
@@ -126,11 +137,11 @@ func (c *Conn) Handle(method string, fn Handler) {
 // non-nil, receives the unmarshaled result payload. Wire errors come back
 // with sentinel identity restored where the code maps to one.
 func (c *Conn) Call(method string, params, result any) error {
-	raw, err := marshalParams(params)
+	payload, err := request(method, params)
 	if err != nil {
 		return fmt.Errorf("ctrl %s: marshal %s params: %w", c.name, method, err)
 	}
-	ch := make(chan envelope, 1)
+	ch := make(chan burst.Frame, 1)
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
@@ -140,26 +151,19 @@ func (c *Conn) Call(method string, params, result any) error {
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = ch
+	sess := c.sess
 	c.mu.Unlock()
 
-	if err := c.send(envelope{ID: id, Method: method, Params: raw}); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return fmt.Errorf("ctrl %s: send %s: %w", c.name, method, err)
-	}
-	env, ok := <-ch
-	if !ok {
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		return c.closedErr(method, err)
-	}
-	if env.Error != nil {
-		return env.Error.unwire(c.name, method)
-	}
-	if result != nil && len(env.Result) > 0 {
-		if err := json.Unmarshal(env.Result, result); err != nil {
+	// A failed Send closes the session, whose close handler closes ch.
+	_ = sess.Send(burst.Frame{Type: burst.FrameRequest, SID: burst.StreamID(id), Payload: payload})
+	f, ok := <-ch
+	switch {
+	case !ok:
+		return c.closedErr(method, c.Err())
+	case f.Type == burst.FrameError:
+		return unwire(f.Payload, c.name, method)
+	case result != nil && len(f.Payload) > 0:
+		if err := json.Unmarshal(f.Payload, result); err != nil {
 			return fmt.Errorf("ctrl %s: unmarshal %s result: %w", c.name, method, err)
 		}
 	}
@@ -168,12 +172,15 @@ func (c *Conn) Call(method string, params, result any) error {
 
 // Notify sends a fire-and-forget notification (no id, no response).
 func (c *Conn) Notify(method string, params any) error {
-	raw, err := marshalParams(params)
+	payload, err := request(method, params)
 	if err != nil {
 		return fmt.Errorf("ctrl %s: marshal %s params: %w", c.name, method, err)
 	}
-	if err := c.send(envelope{Method: method, Params: raw}); err != nil {
-		return fmt.Errorf("ctrl %s: notify %s: %w", c.name, method, err)
+	c.mu.Lock()
+	sess := c.sess
+	c.mu.Unlock()
+	if err := sess.Send(burst.Frame{Type: burst.FrameRequest, Payload: payload}); err != nil {
+		return fmt.Errorf("ctrl %s: notify %s: %w (%w)", c.name, method, ErrConnClosed, err)
 	}
 	return nil
 }
@@ -200,33 +207,42 @@ func (c *Conn) closedErr(method string, cause error) error {
 	return fmt.Errorf("ctrl %s: call %s: %w", c.name, method, ErrConnClosed)
 }
 
-func marshalParams(params any) (json.RawMessage, error) {
+// request builds a request payload: the length-prefixed method, then the
+// params JSON (nothing for nil params).
+func request(method string, params any) ([]byte, error) {
 	if params == nil {
-		return nil, nil
+		return prefixed(method, 0), nil
 	}
-	return json.Marshal(params)
+	raw, err := json.Marshal(params)
+	if err != nil {
+		return nil, err
+	}
+	return append(prefixed(method, len(raw)), raw...), nil
 }
 
-// send serializes one envelope under the write lock. Encoder appends the
-// newline separating messages.
-func (c *Conn) send(env envelope) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return ErrConnClosed
+// prefixed returns head behind its uvarint length, with room for tail more
+// bytes.
+func prefixed(head string, tail int) []byte {
+	b := make([]byte, 0, binary.MaxVarintLen64+len(head)+tail)
+	b = binary.AppendUvarint(b, uint64(len(head)))
+	return append(b, head...)
+}
+
+// cut splits a payload built by prefixed into its head and the rest. A
+// malformed prefix yields an empty head and no rest.
+func cut(p []byte) (string, []byte) {
+	n, k := binary.Uvarint(p)
+	if k <= 0 || n > uint64(len(p)-k) {
+		return "", nil
 	}
-	if err := c.enc.Encode(env); err != nil {
-		c.closeWith(err)
-		return err
-	}
-	return nil
+	end := k + int(n)
+	return string(p[k:end]), p[end:]
 }
 
 // closeWith performs the one-time teardown: marks closed, fails pending
-// calls, wakes the dispatcher, closes the transport, fires onClose.
+// calls, wakes the dispatcher, closes the session, fires onClose. It is
+// also the session's close handler, so a dead peer lands here with the
+// session's error (io.EOF for a clean peer close).
 func (c *Conn) closeWith(err error) {
 	c.mu.Lock()
 	if c.closed {
@@ -236,8 +252,8 @@ func (c *Conn) closeWith(err error) {
 	c.closed = true
 	c.err = err
 	pend := c.pending
-	c.pending = make(map[uint64]chan envelope)
-	onClose := c.onClose
+	c.pending = nil
+	sess, ka := c.sess, c.ka
 	c.mu.Unlock()
 
 	for _, ch := range pend {
@@ -247,44 +263,36 @@ func (c *Conn) closeWith(err error) {
 	c.qdone = true
 	c.qcond.Broadcast()
 	c.qmu.Unlock()
-	_ = c.rwc.Close()
-	if onClose != nil {
-		onClose(err)
+	if sess != nil {
+		ka.Stop()
+		_ = sess.Close()
+	} else {
+		_ = c.rwc.Close()
+	}
+	if c.onClose != nil {
+		c.onClose(err)
 	}
 }
 
-// readLoop decodes envelopes: responses resolve pending calls directly;
-// requests and notifications enqueue for the dispatcher.
-func (c *Conn) readLoop() {
-	defer c.wg.Done()
-	dec := json.NewDecoder(c.rwc)
-	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.EOF // clean peer close keeps its identity
-			}
-			c.closeWith(err)
-			return
-		}
-		if env.Method == "" { // response
-			c.mu.Lock()
-			ch, ok := c.pending[env.ID]
-			delete(c.pending, env.ID)
-			c.mu.Unlock()
-			if ok {
-				ch <- env
-			}
-			continue
-		}
+// receive runs on the session read loop: replies resolve pending calls
+// directly; requests and notifications enqueue for the dispatcher.
+func (c *Conn) receive(f burst.Frame) {
+	switch f.Type {
+	case burst.FrameRequest:
 		c.qmu.Lock()
-		if c.qdone {
-			c.qmu.Unlock()
-			return
+		if !c.qdone {
+			c.queue = append(c.queue, f)
+			c.qcond.Signal()
 		}
-		c.queue = append(c.queue, env)
-		c.qcond.Signal()
 		c.qmu.Unlock()
+	case burst.FrameReply, burst.FrameError:
+		c.mu.Lock()
+		ch := c.pending[uint64(f.SID)]
+		delete(c.pending, uint64(f.SID))
+		c.mu.Unlock()
+		if ch != nil {
+			ch <- f
+		}
 	}
 }
 
@@ -303,40 +311,37 @@ func (c *Conn) dispatchLoop() {
 			c.qmu.Unlock()
 			return
 		}
-		env := c.queue[0]
+		f := c.queue[0]
 		c.queue = c.queue[1:]
 		c.qmu.Unlock()
-		c.serve(env)
+		c.serve(f)
 	}
 }
 
 // serve runs one request or notification through its handler.
-func (c *Conn) serve(env envelope) {
+func (c *Conn) serve(req burst.Frame) {
+	method, params := cut(req.Payload)
 	c.mu.Lock()
-	fn := c.handlers[env.Method]
+	fn := c.handlers[method]
 	c.mu.Unlock()
-	if env.ID == 0 { // notification: no reply even on error
-		if fn != nil {
-			_, _ = fn(env.Params)
-		}
+	var out any
+	var err error
+	if fn == nil {
+		err = fmt.Errorf("ctrl: unknown method %q", method)
+	} else {
+		out, err = fn(params)
+	}
+	if req.SID == 0 { // notification: no reply even on error
 		return
 	}
-	resp := envelope{ID: env.ID}
-	switch {
-	case fn == nil:
-		resp.Error = &wireError{Code: codeUnknownMethod, Msg: fmt.Sprintf("ctrl: unknown method %q", env.Method)}
-	default:
-		out, err := fn(env.Params)
-		if err != nil {
-			resp.Error = wire(err)
-		} else if out != nil {
-			raw, merr := json.Marshal(out)
-			if merr != nil {
-				resp.Error = wire(fmt.Errorf("ctrl: marshal %s result: %w", env.Method, merr))
-			} else {
-				resp.Result = raw
-			}
-		}
+	reply := burst.Frame{Type: burst.FrameReply, SID: req.SID}
+	if err == nil && out != nil {
+		reply.Payload, err = json.Marshal(out)
 	}
-	_ = c.send(resp) // a dead conn fails every pending call anyway
+	if err != nil {
+		reply = burst.Frame{Type: burst.FrameError, SID: req.SID, Payload: wire(err)}
+	}
+	// The dispatcher starts after sess is set. A failed send closed the
+	// session, which fails the caller's pending call on its side.
+	_ = c.sess.Send(reply)
 }

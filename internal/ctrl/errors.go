@@ -11,10 +11,9 @@ import (
 // Wire error codes. Sentinel errors that callers classify with errors.Is
 // (the brass subscription manager retries transient Pylon failures; the
 // device layer distinguishes shed from failure) must survive the RPC
-// boundary, so each gets a stable code that errFor maps back to the
+// boundary, so each gets a stable code that unwire maps back to the
 // sentinel on the calling side.
 const (
-	codeUnknownMethod     = "unknown-method"
 	codeNoQuorum          = "pylon-no-quorum"
 	codeUnavailable       = "pylon-unavailable"
 	codeShed              = "pylon-shed"
@@ -23,33 +22,37 @@ const (
 	codeUnknownField      = "was-unknown-field"
 )
 
-// wire maps err to its wire form, stamping a sentinel code when one
-// applies. errors.Is runs on the server side, so wrapped sentinels map
-// correctly even though only the rendered message crosses the wire.
-func wire(err error) *wireError {
-	w := &wireError{Msg: err.Error()}
+// wire encodes err as an error-reply payload: its sentinel code (empty if
+// none applies), length-prefixed, then the rendered message. errors.Is
+// runs on the server side, so wrapped sentinels map correctly even though
+// only the rendered message crosses the wire.
+func wire(err error) []byte {
+	var code string
 	switch {
 	case errors.Is(err, pylon.ErrNoQuorum):
-		w.Code = codeNoQuorum
+		code = codeNoQuorum
 	case errors.Is(err, pylon.ErrUnavailable):
-		w.Code = codeUnavailable
+		code = codeUnavailable
 	case errors.Is(err, pylon.ErrShed):
-		w.Code = codeShed
+		code = codeShed
 	case errors.Is(err, pylon.ErrUnknownSubscriber):
-		w.Code = codeUnknownSubscriber
+		code = codeUnknownSubscriber
 	case errors.Is(err, was.ErrDenied):
-		w.Code = codeDenied
+		code = codeDenied
 	case errors.Is(err, was.ErrUnknownField):
-		w.Code = codeUnknownField
+		code = codeUnknownField
 	}
-	return w
+	msg := err.Error()
+	return append(prefixed(code, len(msg)), msg...)
 }
 
-// unwire reconstructs a caller-side error, restoring sentinel identity
-// from the code. The remote message is preserved in the rendering.
-func (w *wireError) unwire(name, method string) error {
+// unwire reconstructs a caller-side error from an error-reply payload,
+// restoring sentinel identity from the code. The remote message is
+// preserved in the rendering.
+func unwire(payload []byte, name, method string) error {
+	code, msg := cut(payload)
 	var sentinel error
-	switch w.Code {
+	switch code {
 	case codeNoQuorum:
 		sentinel = pylon.ErrNoQuorum
 	case codeUnavailable:
@@ -64,7 +67,7 @@ func (w *wireError) unwire(name, method string) error {
 		sentinel = was.ErrUnknownField
 	}
 	if sentinel != nil {
-		return fmt.Errorf("ctrl %s: %s: %w (remote: %s)", name, method, sentinel, w.Msg)
+		return fmt.Errorf("ctrl %s: %s: %w (remote: %s)", name, method, sentinel, msg)
 	}
-	return fmt.Errorf("ctrl %s: %s: remote: %s", name, method, w.Msg)
+	return fmt.Errorf("ctrl %s: %s: remote: %s", name, method, msg)
 }

@@ -1,7 +1,6 @@
 package ctrl
 
 import (
-	"encoding/json"
 	"sync"
 	"time"
 
@@ -52,10 +51,11 @@ type deliverParams struct {
 
 // remoteSubscriber adapts one registered host on the serving side: Deliver
 // pushes a notification down the control connection. Notify's write is a
-// buffered socket write, not a round trip, honoring Pylon's "Deliver must
-// not block" contract to the extent a socket can (a wedged peer's TCP
-// buffer eventually backpressures the writer; the keepalive on the node's
-// BURST side and process supervision bound that).
+// socket write, not a round trip, honoring Pylon's "Deliver must not
+// block" contract to the extent a socket can (a wedged peer's TCP buffer
+// eventually backpressures the writer; the conn's heartbeat, armed with a
+// read deadline, closes a conn whose peer stops answering, which fails the
+// blocked write).
 type remoteSubscriber struct {
 	id   string
 	conn *Conn
@@ -71,52 +71,28 @@ func (r *remoteSubscriber) Deliver(ev pylon.Event) {
 // the remote peer. Each control connection re-registers its own hosts, so
 // a reconnecting brass process starts from a clean slate.
 func ServePylon(conn *Conn, svc *pylon.Service, sched sim.Scheduler) {
-	conn.Handle(MethodRegisterHost, func(params json.RawMessage) (any, error) {
-		var p hostParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	handle(conn, MethodRegisterHost, func(p hostParams) (any, error) {
 		svc.RegisterHost(&remoteSubscriber{id: p.Host, conn: conn})
 		return nil, nil
 	})
-	conn.Handle(MethodSubscribe, func(params json.RawMessage) (any, error) {
-		var p topicHostParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	handle(conn, MethodSubscribe, func(p topicHostParams) (any, error) {
 		return nil, svc.Subscribe(pylon.Topic(p.Topic), p.Host)
 	})
-	conn.Handle(MethodUnsubscribe, func(params json.RawMessage) (any, error) {
-		var p topicHostParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	handle(conn, MethodUnsubscribe, func(p topicHostParams) (any, error) {
 		return nil, svc.Unsubscribe(pylon.Topic(p.Topic), p.Host)
 	})
-	conn.Handle(MethodRemoveHost, func(params json.RawMessage) (any, error) {
-		var p hostParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	handle(conn, MethodRemoveHost, func(p hostParams) (any, error) {
 		svc.RemoveHost(p.Host)
 		return nil, nil
 	})
-	conn.Handle(MethodPublish, func(params json.RawMessage) (any, error) {
-		var ev pylon.Event
-		if err := json.Unmarshal(params, &ev); err != nil {
-			return nil, err
-		}
+	handle(conn, MethodPublish, func(ev pylon.Event) (any, error) {
 		n, err := svc.Publish(ev)
 		if err != nil {
 			return nil, err
 		}
 		return publishResult{N: n}, nil
 	})
-	conn.Handle(MethodWaitSubscriber, func(params json.RawMessage) (any, error) {
-		var p waitSubscriberParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	handle(conn, MethodWaitSubscriber, func(p waitSubscriberParams) (any, error) {
 		ok := svc.WaitForSubscriber(sched, pylon.Topic(p.Topic), time.Duration(p.TimeoutMS)*time.Millisecond)
 		return waitSubscriberResult{OK: ok}, nil
 	})
@@ -137,11 +113,7 @@ func NewPylonClient(conn *Conn) *PylonClient {
 		mu sync.Mutex
 		m  map[string]pylon.Subscriber
 	}{m: make(map[string]pylon.Subscriber)}
-	conn.Handle(MethodDeliver, func(params json.RawMessage) (any, error) {
-		var p deliverParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	handle(conn, MethodDeliver, func(p deliverParams) (any, error) {
 		subs.mu.Lock()
 		sub := subs.m[p.Host]
 		subs.mu.Unlock()

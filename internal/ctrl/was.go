@@ -1,8 +1,6 @@
 package ctrl
 
 import (
-	"encoding/json"
-
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/was"
@@ -47,12 +45,8 @@ type payloadParams struct {
 // ServeWAS registers the WAS tier's handlers on conn, exposing srv to the
 // remote peer.
 func ServeWAS(conn *Conn, srv *was.Server) {
-	exprCall := func(fn func(region string, viewer socialgraph.UserID, expr string) ([]byte, error)) Handler {
-		return func(params json.RawMessage) (any, error) {
-			var p exprParams
-			if err := json.Unmarshal(params, &p); err != nil {
-				return nil, err
-			}
+	exprCall := func(fn func(region string, viewer socialgraph.UserID, expr string) ([]byte, error)) func(exprParams) (any, error) {
+		return func(p exprParams) (any, error) {
 			out, err := fn(p.Region, socialgraph.UserID(p.Viewer), p.Expr)
 			if err != nil {
 				return nil, err
@@ -60,13 +54,9 @@ func ServeWAS(conn *Conn, srv *was.Server) {
 			return bytesResult{Data: out}, nil
 		}
 	}
-	conn.Handle(MethodQuery, exprCall(srv.QueryIn))
-	conn.Handle(MethodMutate, exprCall(srv.MutateIn))
-	conn.Handle(MethodResolveSubscription, func(params json.RawMessage) (any, error) {
-		var p exprParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	handle(conn, MethodQuery, exprCall(srv.QueryIn))
+	handle(conn, MethodMutate, exprCall(srv.MutateIn))
+	handle(conn, MethodResolveSubscription, func(p exprParams) (any, error) {
 		topics, err := srv.ResolveSubscription(socialgraph.UserID(p.Viewer), p.Expr)
 		if err != nil {
 			return nil, err
@@ -77,29 +67,17 @@ func ServeWAS(conn *Conn, srv *was.Server) {
 		}
 		return res, nil
 	})
-	conn.Handle(MethodCheckVisibility, func(params json.RawMessage) (any, error) {
-		var p visibilityParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	handle(conn, MethodCheckVisibility, func(p visibilityParams) (any, error) {
 		return nil, srv.CheckEventVisibility(socialgraph.UserID(p.Viewer), p.Event)
 	})
-	conn.Handle(MethodResolvePayload, func(params json.RawMessage) (any, error) {
-		var p payloadParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	handle(conn, MethodResolvePayload, func(p payloadParams) (any, error) {
 		out, err := srv.ResolvePayloadIn(p.Region, p.App, p.Event)
 		if err != nil {
 			return nil, err
 		}
 		return bytesResult{Data: out}, nil
 	})
-	conn.Handle(MethodFetchPayload, func(params json.RawMessage) (any, error) {
-		var p payloadParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	handle(conn, MethodFetchPayload, func(p payloadParams) (any, error) {
 		out, err := srv.FetchPayloadIn(p.Region, p.App, socialgraph.UserID(p.Viewer), p.Event)
 		if err != nil {
 			return nil, err
